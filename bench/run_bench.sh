@@ -9,92 +9,83 @@
 #
 # Usage:  bench/run_bench.sh [--quick|--history] [build-dir] (default: build)
 #
-# --quick: perf-regression gate only (docs/OBSERVABILITY.md §7). Re-runs
-# the one instrumented `qplace solve` whose deterministic counters are
-# embedded in the committed BENCH_parallel.json and diffs them with
-# `qplace analyze --diff`; exits non-zero when a work counter (lp.pivots,
-# graph.heap_pops, exec.chunks, ...) drifted beyond the tolerance
-# (QPLACE_BENCH_TOLERANCE, default 0.10). Needs only the qplace binary --
-# no perf_* builds, no google-benchmark -- so CI can run it cheaply. Does
-# NOT rewrite the baseline; run the full script for that.
+# The work-counter baseline is BENCH_history.jsonl at the repository root:
+# one qplace.bench_history.v1 line per append, each holding the
+# deterministic counters of one instrumented `qplace solve` (below) plus
+# host metadata and the git revision. Both modes need only the qplace
+# binary -- no perf_* builds, no google-benchmark -- so CI runs them cheaply.
 #
-# --history: appends one qplace.bench_history.v1 JSON line -- the same
-# instrumented solve's deterministic counters plus host metadata and the
-# git revision -- to BENCH_history.jsonl at the repository root. `qplace
-# analyze --trend BENCH_history.jsonl` then reports the per-counter
-# trajectory across appends and fails when the newest entry regressed
-# beyond tolerance vs the rolling median baseline. Like --quick it needs
-# only the qplace binary.
+# --quick: perf-regression gate (docs/OBSERVABILITY.md §7). Re-runs the
+# instrumented solve and diffs its counters against the newest history line
+# with `qplace analyze --diff`; exits non-zero when a work counter
+# (lp.pivots, graph.heap_pops, exec.chunks, ...) drifted beyond the
+# tolerance in either direction (QPLACE_BENCH_TOLERANCE, default 0.10).
+# Does NOT rewrite the baseline; run --history for that.
+#
+# --history: appends one line for the current build. `qplace analyze
+# --trend BENCH_history.jsonl` then reports the per-counter trajectory
+# across appends and fails when the newest entry regressed beyond
+# tolerance vs the rolling median baseline.
 set -euo pipefail
 
-quick=0
-history=0
-if [[ "${1:-}" == "--quick" ]]; then
-  quick=1
-  shift
-elif [[ "${1:-}" == "--history" ]]; then
-  history=1
+mode=full
+if [[ "${1:-}" == "--quick" || "${1:-}" == "--history" ]]; then
+  mode="${1#--}"
   shift
 fi
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-$repo_root/build}"
 out_json="$repo_root/BENCH_parallel.json"
+history_json="$repo_root/BENCH_history.jsonl"
 work_dir="$(mktemp -d)"
 trap 'rm -rf "$work_dir"' EXIT
 
-if [[ "$quick" == 1 ]]; then
+# Host metadata both baselines record, read by the Python writers below.
+export BENCH_HOST_NPROC="$(nproc 2>/dev/null || echo unknown)"
+export BENCH_HOST_KERNEL="$(uname -srm 2>/dev/null || echo unknown)"
+export BENCH_HOST_CPU_MODEL="$(sed -n 's/^model name[^:]*: //p' \
+                               /proc/cpuinfo 2>/dev/null | head -1)"
+export BENCH_HOST_GIT_SHA="$(git -C "$repo_root" rev-parse --short HEAD \
+                             2>/dev/null || echo unknown)"
+
+if [[ "$mode" != full ]]; then
   qplace_bin="$build_dir/tools/qplace"
   if [[ ! -x "$qplace_bin" ]]; then
     echo "error: $qplace_bin not built" \
          "(run: cmake --build $build_dir --target qplace_cli)" >&2
     exit 1
   fi
-  if [[ ! -f "$out_json" ]]; then
-    echo "error: $out_json missing; run the full bench/run_bench.sh once" >&2
+  # The one instrumented solve whose deterministic counters are the
+  # baseline (instance digest 7eccdd89f4d198dd).
+  fresh="$work_dir/solve_stats.json"
+  "$qplace_bin" solve --system grid --k 2 --topology geometric --nodes 16 \
+    --algorithm qpp --alpha 2 --seed 1 --stats-out "$fresh" >/dev/null
+fi
+
+if [[ "$mode" == quick ]]; then
+  if [[ ! -s "$history_json" ]]; then
+    echo "error: $history_json missing; run bench/run_bench.sh --history" >&2
     exit 1
   fi
   tolerance="${QPLACE_BENCH_TOLERANCE:-0.10}"
-  fresh="$work_dir/solve_stats.json"
   echo "== quick perf-regression gate (tolerance $tolerance)"
-  # Same instrumented solve the full run embeds into the baseline.
-  "$qplace_bin" solve --system grid --k 2 --topology geometric --nodes 16 \
-    --algorithm qpp --alpha 2 --seed 1 --stats-out "$fresh" >/dev/null
-  if ! "$qplace_bin" analyze --diff "$out_json" --against "$fresh" \
-      --tolerance "$tolerance"; then
+  tail -n 1 "$history_json" > "$work_dir/baseline.json"
+  if ! "$qplace_bin" analyze --diff "$work_dir/baseline.json" \
+      --against "$fresh" --tolerance "$tolerance"; then
     # The diff names each offending counter above; say how to widen the
     # gate vs. re-baseline so the failure is actionable in CI logs.
     echo "error: deterministic work counters drifted beyond tolerance" \
          "$tolerance (see the counter lines above)" >&2
     echo "hint: raise QPLACE_BENCH_TOLERANCE for an expected change, or" \
-         "re-run bench/run_bench.sh (no --quick) to re-baseline" >&2
+         "re-baseline with bench/run_bench.sh --history" >&2
     exit 1
   fi
   exit 0
 fi
 
-if [[ "$history" == 1 ]]; then
-  qplace_bin="$build_dir/tools/qplace"
-  if [[ ! -x "$qplace_bin" ]]; then
-    echo "error: $qplace_bin not built" \
-         "(run: cmake --build $build_dir --target qplace_cli)" >&2
-    exit 1
-  fi
-  history_json="$repo_root/BENCH_history.jsonl"
-  fresh="$work_dir/solve_stats.json"
+if [[ "$mode" == history ]]; then
   echo "== bench history append -> $history_json"
-  # The same instrumented solve --quick gates on; its deterministic
-  # counters are the per-PR perf trajectory `analyze --trend` reads.
-  "$qplace_bin" solve --system grid --k 2 --topology geometric --nodes 16 \
-    --algorithm qpp --alpha 2 --seed 1 --stats-out "$fresh" >/dev/null
-  host_nproc="$(nproc 2>/dev/null || echo unknown)"
-  host_kernel="$(uname -srm 2>/dev/null || echo unknown)"
-  host_cpu_model="$(sed -n 's/^model name[^:]*: //p' /proc/cpuinfo \
-                    2>/dev/null | head -1)"
-  host_git_sha="$(git -C "$repo_root" rev-parse --short HEAD 2>/dev/null \
-                  || echo unknown)"
-  BENCH_HOST_NPROC="$host_nproc" BENCH_HOST_KERNEL="$host_kernel" \
-  BENCH_HOST_CPU_MODEL="$host_cpu_model" BENCH_HOST_GIT_SHA="$host_git_sha" \
   python3 - "$fresh" "$history_json" <<'PY'
 import json
 import os
@@ -145,16 +136,10 @@ for b in "${binaries[@]}"; do
   done
 done
 
-# Host metadata beyond what google-benchmark records: core count, the exact
-# compiler, the CMake build type the binaries were produced with, plus the
-# kernel, CPU model, and repo revision so two baselines can be compared
-# without guessing what produced them.
-host_nproc="$(nproc 2>/dev/null || echo unknown)"
-host_kernel="$(uname -srm 2>/dev/null || echo unknown)"
-host_cpu_model="$(sed -n 's/^model name[^:]*: //p' /proc/cpuinfo 2>/dev/null \
-                  | head -1)"
-host_git_sha="$(git -C "$repo_root" rev-parse --short HEAD 2>/dev/null \
-                || echo unknown)"
+# Host metadata beyond what google-benchmark records: the exact compiler and
+# the CMake build type the binaries were produced with, next to the core
+# count, kernel, CPU model, and repo revision exported above, so two
+# baselines can be compared without guessing what produced them.
 host_build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' \
                    "$build_dir/CMakeCache.txt" 2>/dev/null | head -1)"
 # An empty cache entry means the project default applied (CMakeLists.txt
@@ -169,24 +154,8 @@ if [[ -n "$host_compiler_path" && -x "$host_compiler_path" ]]; then
   host_compiler="$("$host_compiler_path" --version | head -1)"
 fi
 
-# One instrumented solve (docs/OBSERVABILITY.md): its deterministic counters
-# (LP pivots, relay candidates, ...) are embedded in the baseline so a perf
-# regression can be told apart from an algorithmic change doing more work.
-qplace_bin="$build_dir/tools/qplace"
-solve_stats="$work_dir/solve_stats.json"
-if [[ -x "$qplace_bin" ]]; then
-  echo "== qplace solve --stats-out (run-report counters)"
-  "$qplace_bin" solve --system grid --k 2 --topology geometric --nodes 16 \
-    --algorithm qpp --alpha 2 --seed 1 --stats-out "$solve_stats" >/dev/null
-fi
-
-export BENCH_HOST_NPROC="$host_nproc"
 export BENCH_HOST_BUILD_TYPE="$host_build_type"
 export BENCH_HOST_COMPILER="$host_compiler"
-export BENCH_HOST_KERNEL="$host_kernel"
-export BENCH_HOST_CPU_MODEL="$host_cpu_model"
-export BENCH_HOST_GIT_SHA="$host_git_sha"
-export BENCH_SOLVE_STATS="$solve_stats"
 
 python3 - "$work_dir" "$out_json" <<'PY'
 import json
@@ -224,14 +193,6 @@ for b in binaries:
             paths.setdefault(key, {})[f"t{t}"] = round(
                 bench["real_time"] * scale, 6)
 
-# Deterministic counters from one instrumented `qplace solve` run
-# (qplace.run_report.v1; absent when the CLI was not built).
-solver_counters = None
-stats_path = os.environ.get("BENCH_SOLVE_STATS", "")
-if stats_path and os.path.exists(stats_path):
-    with open(stats_path) as f:
-        solver_counters = json.load(f)["deterministic"]["counters"]
-
 result = {
     "description": (
         "Wall time (ms) per benchmark at QPLACE_THREADS=1/2/4/8; "
@@ -244,7 +205,6 @@ result = {
         "scaling conclusions."),
     "host": host,
     "thread_counts": threads,
-    "solver_counters": solver_counters,
     "benchmarks": dict(sorted(paths.items())),
 }
 with open(out_json, "w") as f:

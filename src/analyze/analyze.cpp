@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
-#include <set>
 #include <stdexcept>
 
 #include "check/contracts.hpp"
@@ -96,30 +96,39 @@ double context_number(const ParsedAccessLog& log, const std::string& key,
   }
 }
 
-std::map<std::string, std::uint64_t> extract_counters(
-    const json::Value& report, bool* found) {
-  std::map<std::string, std::uint64_t> counters;
-  const json::Value* source = nullptr;
+/// The counter object of a run report (`deterministic.counters`) or of a
+/// bench history line (top-level `counters`); nullptr when it has neither.
+const json::Value* report_counters(const json::Value& report) {
   if (const json::Value* det = report.find("deterministic")) {
-    source = det->find("counters");
-  } else {
-    source = report.find("solver_counters");  // bench baseline format
+    return det->find("counters");
   }
-  *found = source != nullptr && source->is_object();
-  if (!*found) return counters;
-  for (const auto& [name, value] : source->object) {
-    if (value.type == json::Value::Type::kNumber) {
-      counters[name] = static_cast<std::uint64_t>(value.number);
-    }
+  if (report.get_string("schema", "") == "qplace.bench_history.v1") {
+    return report.find("counters");
   }
-  return counters;
+  return nullptr;
 }
 
-std::string report_digest(const json::Value& report) {
-  if (const json::Value* context = report.find("context")) {
-    return context->get_string("instance_digest", "");
-  }
-  return "";
+/// `doc.half.member`, or nullptr when any level is missing.
+const json::Value* member(const json::Value& doc, const char* half,
+                          const char* name) {
+  const json::Value* section = doc.find(half);
+  return section != nullptr ? section->find(name) : nullptr;
+}
+
+/// One histogram side; an empty histogram renders mean/quantiles as null
+/// (histogram.cpp), which keeps the numbers at 0 and sets `null`.
+HistogramSide read_histogram(const json::Value* h) {
+  HistogramSide side;
+  if (h == nullptr) return side;
+  side.count = h->get_number("count", 0.0);
+  const json::Value* mean = h->find("mean");
+  side.null = mean != nullptr && mean->is_null();
+  if (side.null) return side;
+  side.mean = h->get_number("mean", 0.0);
+  side.p50 = h->get_number("p50", 0.0);
+  side.p90 = h->get_number("p90", 0.0);
+  side.p99 = h->get_number("p99", 0.0);
+  return side;
 }
 
 bool report_obs_off(const json::Value& report) {
@@ -384,23 +393,7 @@ AccessLogAnalysis analyze_access_log(const core::QppInstance& instance,
   return analysis;
 }
 
-double CounterDiff::rel_drift() const {
-  if (in_base != in_cand) {
-    const std::uint64_t present = in_base ? base : cand;
-    return present == 0 ? 0.0 : std::numeric_limits<double>::infinity();
-  }
-  const double reference = std::max<double>(static_cast<double>(base), 1.0);
-  const double delta = static_cast<double>(cand) > static_cast<double>(base)
-                           ? static_cast<double>(cand - base)
-                           : static_cast<double>(base - cand);
-  return delta / reference;
-}
-
 double ReportDiff::max_deterministic_drift() const {
-  double drift = 0.0;
-  for (const CounterDiff& counter : counters) {
-    drift = std::max(drift, counter.rel_drift());
-  }
   for (const SeriesDiff& entry : series) {
     if (!entry.equal || entry.in_base != entry.in_cand) {
       return std::numeric_limits<double>::infinity();
@@ -411,199 +404,91 @@ double ReportDiff::max_deterministic_drift() const {
       return std::numeric_limits<double>::infinity();
     }
   }
-  return drift;
+  return max_drift(counters, DriftGate::kBothWays);
 }
 
 ReportDiff diff_run_reports(const json::Value& base, const json::Value& cand) {
   ReportDiff diff;
-  bool base_has_counters = false;
-  bool cand_has_counters = false;
-  const auto base_counters = extract_counters(base, &base_has_counters);
-  const auto cand_counters = extract_counters(cand, &cand_has_counters);
-  if (!base_has_counters || !cand_has_counters) {
+  const json::Value* base_counters = report_counters(base);
+  const json::Value* cand_counters = report_counters(cand);
+  if (base_counters == nullptr || !base_counters->is_object() ||
+      cand_counters == nullptr || !cand_counters->is_object()) {
     diff.error =
-        "not a qplace.run_report.v1 document (no deterministic.counters or "
-        "solver_counters)";
+        "not a qplace.run_report.v1 document or qplace.bench_history.v1 "
+        "line (no deterministic.counters or counters)";
     return diff;
   }
-  const std::string digest_base = report_digest(base);
-  const std::string digest_cand = report_digest(cand);
-  if (!digest_base.empty() && !digest_cand.empty() &&
-      digest_base != digest_cand) {
-    diff.error = "instance digests differ (" + digest_base + " vs " +
-                 digest_cand + "); refusing to compare different instances";
-    return diff;
-  }
+  diff.error = digest_conflict(base, cand);
+  if (!diff.error.empty()) return diff;
   diff.obs_off_base = report_obs_off(base);
   diff.obs_off_cand = report_obs_off(cand);
 
-  std::set<std::string> names;
-  for (const auto& [name, value] : base_counters) names.insert(name);
-  for (const auto& [name, value] : cand_counters) names.insert(name);
-  for (const std::string& name : names) {
-    CounterDiff entry;
-    entry.name = name;
-    const auto in_base = base_counters.find(name);
-    const auto in_cand = cand_counters.find(name);
-    entry.in_base = in_base != base_counters.end();
-    entry.in_cand = in_cand != cand_counters.end();
-    if (entry.in_base) entry.base = in_base->second;
-    if (entry.in_cand) entry.cand = in_cand->second;
-    diff.counters.push_back(entry);
-  }
+  compare_counters(counter_map(base_counters), counter_map(cand_counters), "",
+                   diff.counters);
 
   // Series: exact element-wise equality, the same contract the metamorphic
   // suite enforces in-process.
-  const json::Value* base_det = base.find("deterministic");
-  const json::Value* cand_det = cand.find("deterministic");
-  const json::Value* base_series =
-      base_det != nullptr ? base_det->find("series") : nullptr;
-  const json::Value* cand_series =
-      cand_det != nullptr ? cand_det->find("series") : nullptr;
-  std::set<std::string> series_names;
-  if (base_series != nullptr) {
-    for (const auto& [name, value] : base_series->object) {
-      series_names.insert(name);
-    }
-  }
-  if (cand_series != nullptr) {
-    for (const auto& [name, value] : cand_series->object) {
-      series_names.insert(name);
-    }
-  }
-  for (const std::string& name : series_names) {
-    SeriesDiff entry;
-    entry.name = name;
-    const json::Value* in_base =
-        base_series != nullptr ? base_series->find(name) : nullptr;
-    const json::Value* in_cand =
-        cand_series != nullptr ? cand_series->find(name) : nullptr;
-    entry.in_base = in_base != nullptr;
-    entry.in_cand = in_cand != nullptr;
-    if (in_base != nullptr && in_cand != nullptr) {
-      entry.equal = in_base->array.size() == in_cand->array.size();
-      if (entry.equal) {
-        for (std::size_t i = 0; i < in_base->array.size(); ++i) {
-          if (in_base->array[i].number != in_cand->array[i].number) {
-            entry.equal = false;
-            break;
-          }
-        }
-      }
-    }
-    diff.series.push_back(entry);
-  }
+  for_each_key(member(base, "deterministic", "series"),
+               member(cand, "deterministic", "series"),
+               [&](const std::string& name, const json::Value* b,
+                   const json::Value* c) {
+                 SeriesDiff entry;
+                 entry.name = name;
+                 entry.in_base = b != nullptr;
+                 entry.in_cand = c != nullptr;
+                 if (b != nullptr && c != nullptr) {
+                   entry.equal = b->array.size() == c->array.size() &&
+                                 std::equal(b->array.begin(), b->array.end(),
+                                            c->array.begin(),
+                                            [](const json::Value& x,
+                                               const json::Value& y) {
+                                              return x.number == y.number;
+                                            });
+                 }
+                 diff.series.push_back(entry);
+               });
 
-  // Histograms: distribution-shape shift (counts, mean, quantiles).
-  const json::Value* base_hists =
-      base_det != nullptr ? base_det->find("histograms") : nullptr;
-  const json::Value* cand_hists =
-      cand_det != nullptr ? cand_det->find("histograms") : nullptr;
-  std::set<std::string> hist_names;
-  if (base_hists != nullptr) {
-    for (const auto& [name, value] : base_hists->object) {
-      hist_names.insert(name);
-    }
-  }
-  if (cand_hists != nullptr) {
-    for (const auto& [name, value] : cand_hists->object) {
-      hist_names.insert(name);
-    }
-  }
-  for (const std::string& name : hist_names) {
-    HistogramDiff entry;
-    entry.name = name;
-    // Empty histograms render mean/quantiles as null (histogram.cpp); a
-    // null side keeps the numeric fields at 0 and sets the null flag, and
-    // null-vs-number gates as schema drift (HistogramDiff::schema_drift).
-    const auto quantiles_null = [](const json::Value& h) {
-      const json::Value* mean = h.find("mean");
-      return mean != nullptr && mean->is_null();
-    };
-    if (const json::Value* h =
-            base_hists != nullptr ? base_hists->find(name) : nullptr) {
-      entry.count_base = h->get_number("count", 0.0);
-      entry.null_base = quantiles_null(*h);
-      if (!entry.null_base) {
-        entry.mean_base = h->get_number("mean", 0.0);
-        entry.p50_base = h->get_number("p50", 0.0);
-        entry.p90_base = h->get_number("p90", 0.0);
-        entry.p99_base = h->get_number("p99", 0.0);
-      }
-    }
-    if (const json::Value* h =
-            cand_hists != nullptr ? cand_hists->find(name) : nullptr) {
-      entry.count_cand = h->get_number("count", 0.0);
-      entry.null_cand = quantiles_null(*h);
-      if (!entry.null_cand) {
-        entry.mean_cand = h->get_number("mean", 0.0);
-        entry.p50_cand = h->get_number("p50", 0.0);
-        entry.p90_cand = h->get_number("p90", 0.0);
-        entry.p99_cand = h->get_number("p99", 0.0);
-      }
-    }
-    diff.histograms.push_back(entry);
-  }
+  // Histograms: distribution-shape shift (counts, mean, quantiles);
+  // null-vs-number gates as schema drift (HistogramDiff::schema_drift).
+  for_each_key(member(base, "deterministic", "histograms"),
+               member(cand, "deterministic", "histograms"),
+               [&](const std::string& name, const json::Value* b,
+                   const json::Value* c) {
+                 diff.histograms.push_back(
+                     {name, read_histogram(b), read_histogram(c)});
+               });
 
   // Timers: wall time, reported but never gated.
-  const json::Value* base_nondet = base.find("nondeterministic");
-  const json::Value* cand_nondet = cand.find("nondeterministic");
-  const json::Value* base_timers =
-      base_nondet != nullptr ? base_nondet->find("timers") : nullptr;
-  const json::Value* cand_timers =
-      cand_nondet != nullptr ? cand_nondet->find("timers") : nullptr;
-  std::set<std::string> timer_names;
-  if (base_timers != nullptr) {
-    for (const auto& [name, value] : base_timers->object) {
-      timer_names.insert(name);
-    }
-  }
-  if (cand_timers != nullptr) {
-    for (const auto& [name, value] : cand_timers->object) {
-      timer_names.insert(name);
-    }
-  }
-  for (const std::string& name : timer_names) {
-    TimerDiff entry;
-    entry.name = name;
-    if (const json::Value* t =
-            base_timers != nullptr ? base_timers->find(name) : nullptr) {
-      entry.calls_base = t->get_number("calls", 0.0);
-      entry.ms_base = t->get_number("total_ms", 0.0);
-    }
-    if (const json::Value* t =
-            cand_timers != nullptr ? cand_timers->find(name) : nullptr) {
-      entry.calls_cand = t->get_number("calls", 0.0);
-      entry.ms_cand = t->get_number("total_ms", 0.0);
-    }
-    diff.timers.push_back(entry);
-  }
+  for_each_key(member(base, "nondeterministic", "timers"),
+               member(cand, "nondeterministic", "timers"),
+               [&](const std::string& name, const json::Value* b,
+                   const json::Value* c) {
+                 WallDiff entry;
+                 entry.name = name;
+                 if (b != nullptr) {
+                   entry.calls_base = b->get_number("calls", 0.0);
+                   entry.ms_base = b->get_number("total_ms", 0.0);
+                 }
+                 if (c != nullptr) {
+                   entry.calls_cand = c->get_number("calls", 0.0);
+                   entry.ms_cand = c->get_number("total_ms", 0.0);
+                 }
+                 diff.timers.push_back(entry);
+               });
 
   // Resources (peak RSS, page faults): wall-class like timers -- a report
   // from a non-POSIX build simply has no "resources" object, and a missing
   // side is reported as 0 rather than gating anything.
-  const json::Value* base_res =
-      base_nondet != nullptr ? base_nondet->find("resources") : nullptr;
-  const json::Value* cand_res =
-      cand_nondet != nullptr ? cand_nondet->find("resources") : nullptr;
-  std::set<std::string> resource_names;
-  if (base_res != nullptr) {
-    for (const auto& [name, value] : base_res->object) {
-      resource_names.insert(name);
-    }
-  }
-  if (cand_res != nullptr) {
-    for (const auto& [name, value] : cand_res->object) {
-      resource_names.insert(name);
-    }
-  }
-  for (const std::string& name : resource_names) {
-    ResourceDiff entry;
-    entry.name = name;
-    if (base_res != nullptr) entry.base = base_res->get_number(name, 0.0);
-    if (cand_res != nullptr) entry.cand = cand_res->get_number(name, 0.0);
-    diff.resources.push_back(entry);
-  }
+  for_each_key(member(base, "nondeterministic", "resources"),
+               member(cand, "nondeterministic", "resources"),
+               [&](const std::string& name, const json::Value* b,
+                   const json::Value* c) {
+                 ResourceDiff entry;
+                 entry.name = name;
+                 if (b != nullptr) entry.base = b->number;
+                 if (c != nullptr) entry.cand = c->number;
+                 diff.resources.push_back(entry);
+               });
   return diff;
 }
 

@@ -26,23 +26,24 @@
 ///     respect the configured maximum.
 ///
 ///  2. diff_run_reports(): a structured diff of two
-///     `qplace.run_report.v1` documents (or the bench baseline's embedded
-///     `solver_counters`): deterministic counter deltas, series equality,
-///     histogram distribution shift, and wall-time ratios explicitly
-///     labelled nondeterministic. The deterministic half doubles as the
+///     `qplace.run_report.v1` documents (or a `qplace.bench_history.v1`
+///     line standing in for the base): deterministic counter deltas
+///     (drift.hpp, gated both ways), series equality, histogram
+///     distribution shift, and wall-time ratios explicitly labelled
+///     nondeterministic. The deterministic half doubles as the
 ///     perf-regression gate -- `qplace analyze --diff` exits non-zero when
-///     a work counter drifts beyond the tolerance, which CI runs against
-///     the committed BENCH_parallel.json baseline
+///     a work counter drifts beyond the tolerance, which `bench/run_bench.sh
+///     --quick` runs against the newest committed BENCH_history.jsonl line
 ///     (docs/OBSERVABILITY.md §7).
 ///
 /// Both refuse to compare artifacts whose embedded instance digests
 /// (core::instance_digest) disagree.
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
+#include "analyze/drift.hpp"
 #include "core/instance.hpp"
 #include "obs/access_log.hpp"
 #include "obs/json.hpp"
@@ -167,19 +168,6 @@ AccessLogAnalysis analyze_access_log(const core::QppInstance& instance,
 
 // ---------------------------------------------------------------- report diff
 
-struct CounterDiff {
-  std::string name;
-  bool in_base = false;
-  bool in_cand = false;
-  std::uint64_t base = 0;
-  std::uint64_t cand = 0;
-
-  /// |cand - base| / max(base, 1); +infinity when the counter exists on
-  /// only one side with a non-zero value (an appearing/vanishing
-  /// instrument is always a drift).
-  double rel_drift() const;
-};
-
 struct SeriesDiff {
   std::string name;
   bool in_base = false;
@@ -187,30 +175,23 @@ struct SeriesDiff {
   bool equal = false;  ///< element-wise exact equality
 };
 
+/// One side of a histogram comparison (all 0 when the side lacks it).
+struct HistogramSide {
+  double count = 0.0, mean = 0.0, p50 = 0.0, p90 = 0.0, p99 = 0.0;
+  /// True when mean/p50/p90/p99 are JSON null (empty histogram; see
+  /// LogHistogram::to_json). The numeric fields above stay 0 then.
+  bool null = false;
+};
+
 struct HistogramDiff {
   std::string name;
-  double count_base = 0.0, count_cand = 0.0;
-  double mean_base = 0.0, mean_cand = 0.0;
-  double p50_base = 0.0, p50_cand = 0.0;
-  double p90_base = 0.0, p90_cand = 0.0;
-  double p99_base = 0.0, p99_cand = 0.0;
-  /// True when the side's mean/p50/p90/p99 are JSON null (empty histogram;
-  /// see LogHistogram::to_json). The numeric fields above stay 0 then.
-  bool null_base = false;
-  bool null_cand = false;
+  HistogramSide base, cand;
 
   /// null on one side, numbers on the other: the histograms are not
   /// comparable (one run measured, the other did not) -- schema drift,
   /// which gates like an infinite counter drift rather than passing any
   /// tolerance on the 0-vs-number difference.
-  bool schema_drift() const { return null_base != null_cand; }
-};
-
-/// Wall-time comparison -- informational only, never gated.
-struct TimerDiff {
-  std::string name;
-  double calls_base = 0.0, calls_cand = 0.0;
-  double ms_base = 0.0, ms_cand = 0.0;
+  bool schema_drift() const { return base.null != cand.null; }
 };
 
 /// Process-resource comparison (nondeterministic "resources" object: peak
@@ -230,14 +211,14 @@ struct ReportDiff {
   bool obs_off_base = false;
   bool obs_off_cand = false;
 
-  std::vector<CounterDiff> counters;    // deterministic -- gated
+  std::vector<CounterDrift> counters;   // deterministic -- gated
   std::vector<SeriesDiff> series;       // deterministic -- gated
   std::vector<HistogramDiff> histograms;  // deterministic -- reported
-  std::vector<TimerDiff> timers;        // nondeterministic -- informational
+  std::vector<WallDiff> timers;         // nondeterministic -- informational
   std::vector<ResourceDiff> resources;  // nondeterministic -- informational
 
-  /// Largest relative counter drift (0 when there are no counters);
-  /// +infinity when a counter or series exists on only one side, a series
+  /// Largest counter drift under DriftGate::kBothWays (0 when there are no
+  /// counters); +infinity when a series exists on only one side or
   /// diverged, or a histogram is null-vs-number (HistogramDiff::
   /// schema_drift).
   double max_deterministic_drift() const;
@@ -247,8 +228,8 @@ struct ReportDiff {
 };
 
 /// Diffs two parsed documents. Accepts `qplace.run_report.v1` reports and
-/// the BENCH_parallel.json baseline (whose `solver_counters` member acts as
-/// a counters-only report).
+/// `qplace.bench_history.v1` lines (BENCH_history.jsonl), whose top-level
+/// `counters` and `instance_digest` act as a counters-only report.
 ReportDiff diff_run_reports(const json::Value& base, const json::Value& cand);
 
 }  // namespace qp::obs

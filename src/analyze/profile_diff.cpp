@@ -1,52 +1,23 @@
 #include "analyze/profile_diff.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <limits>
-#include <set>
 
 namespace qp::obs {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Node path -> node of one half's tree. Paths join span names with "/";
+/// the root node lives under "".
+using NodeIndex = std::map<std::string, const json::Value*>;
 
-/// Flattened deterministic tree: path -> (counter -> value). Paths join
-/// span names with "/"; the root node's own counters live under "".
-using CounterTree = std::map<std::string, std::map<std::string, double>>;
-
-void flatten_deterministic(const json::Value& node, const std::string& path,
-                           CounterTree& out) {
-  auto& counters = out[path];
-  if (const json::Value* c = node.find("counters");
-      c != nullptr && c->is_object()) {
-    for (const auto& [name, value] : c->object) {
-      counters[name] = value.number;
-    }
-  }
+void index_nodes(const json::Value& node, const std::string& path,
+                 NodeIndex& out) {
+  out[path] = &node;
   if (const json::Value* children = node.find("children");
       children != nullptr && children->is_object()) {
     for (const auto& [name, child] : children->object) {
-      flatten_deterministic(child, path.empty() ? name : path + "/" + name,
-                            out);
-    }
-  }
-}
-
-struct WallNode {
-  double calls = 0.0;
-  double total_ms = 0.0;
-};
-
-void flatten_nondeterministic(const json::Value& node, const std::string& path,
-                              std::map<std::string, WallNode>& out) {
-  WallNode& wall = out[path];
-  wall.calls = node.get_number("calls", 0.0);
-  wall.total_ms = node.get_number("total_ms", 0.0);
-  if (const json::Value* children = node.find("children");
-      children != nullptr && children->is_object()) {
-    for (const auto& [name, child] : children->object) {
-      flatten_nondeterministic(child, path.empty() ? name : path + "/" + name,
-                               out);
+      index_nodes(child, path.empty() ? name : path + "/" + name, out);
     }
   }
 }
@@ -58,28 +29,9 @@ const json::Value* profile_root(const json::Value& doc, const char* half) {
 
 }  // namespace
 
-double ProfileCounterDiff::rel_drift() const {
-  if (in_base != in_cand) {
-    const std::uint64_t present = in_base ? base : cand;
-    return present == 0 ? 0.0 : kInf;
-  }
-  const double b = static_cast<double>(base);
-  const double c = static_cast<double>(cand);
-  return std::fabs(c - b) / std::max(b, 1.0);
-}
-
-double ProfileWallDiff::wall_drift() const {
-  return std::fabs(total_ms_cand - total_ms_base) /
-         std::max(total_ms_base, 1e-9);
-}
-
 double ProfileDiff::max_deterministic_drift() const {
-  if (!structure.empty()) return kInf;
-  double max = 0.0;
-  for (const auto& counter : counters) {
-    max = std::max(max, counter.rel_drift());
-  }
-  return max;
+  if (!structure.empty()) return std::numeric_limits<double>::infinity();
+  return max_drift(counters, DriftGate::kBothWays);
 }
 
 double ProfileDiff::max_wall_drift() const {
@@ -100,20 +52,8 @@ ProfileDiff diff_profiles(const json::Value& base, const json::Value& cand) {
     return diff;
   }
 
-  const auto digest = [](const json::Value& doc) {
-    const json::Value* context = doc.find("context");
-    return context != nullptr ? context->get_string("instance_digest", "")
-                              : std::string();
-  };
-  const std::string digest_base = digest(base);
-  const std::string digest_cand = digest(cand);
-  if (!digest_base.empty() && !digest_cand.empty() &&
-      digest_base != digest_cand) {
-    diff.error = "instance digests disagree (" + digest_base + " vs " +
-                 digest_cand + "); refusing to compare profiles of " +
-                 "different instances";
-    return diff;
-  }
+  diff.error = digest_conflict(base, cand);
+  if (!diff.error.empty()) return diff;
 
   const json::Value* det_base = profile_root(base, "deterministic");
   const json::Value* det_cand = profile_root(cand, "deterministic");
@@ -122,63 +62,44 @@ ProfileDiff diff_profiles(const json::Value& base, const json::Value& cand) {
     return diff;
   }
 
-  CounterTree tree_base, tree_cand;
-  flatten_deterministic(*det_base, "", tree_base);
-  flatten_deterministic(*det_cand, "", tree_cand);
-
-  std::set<std::string> paths;
-  for (const auto& [path, counters] : tree_base) paths.insert(path);
-  for (const auto& [path, counters] : tree_cand) paths.insert(path);
-
-  for (const std::string& path : paths) {
-    const auto it_base = tree_base.find(path);
-    const auto it_cand = tree_cand.find(path);
-    if (it_base == tree_base.end() || it_cand == tree_cand.end()) {
-      ProfileStructureDiff structural;
-      structural.path = path;
-      structural.in_base = it_base != tree_base.end();
-      structural.in_cand = it_cand != tree_cand.end();
-      diff.structure.push_back(std::move(structural));
-      continue;
-    }
-    std::set<std::string> names;
-    for (const auto& [name, value] : it_base->second) names.insert(name);
-    for (const auto& [name, value] : it_cand->second) names.insert(name);
-    for (const std::string& name : names) {
-      ProfileCounterDiff counter;
-      counter.path = path;
-      counter.counter = name;
-      const auto b = it_base->second.find(name);
-      const auto c = it_cand->second.find(name);
-      counter.in_base = b != it_base->second.end();
-      counter.in_cand = c != it_cand->second.end();
-      if (counter.in_base) {
-        counter.base = static_cast<std::uint64_t>(b->second);
-      }
-      if (counter.in_cand) {
-        counter.cand = static_cast<std::uint64_t>(c->second);
-      }
-      diff.counters.push_back(std::move(counter));
-    }
-  }
+  NodeIndex nodes_base, nodes_cand;
+  index_nodes(*det_base, "", nodes_base);
+  index_nodes(*det_cand, "", nodes_cand);
+  for_each_key(nodes_base, nodes_cand,
+               [&](const std::string& path, const json::Value* const* b,
+                   const json::Value* const* c) {
+                 if (b != nullptr && c != nullptr) {
+                   compare_counters(counter_map((*b)->find("counters")),
+                                    counter_map((*c)->find("counters")), path,
+                                    diff.counters);
+                   return;
+                 }
+                 ProfileStructureDiff structural;
+                 structural.path = path;
+                 structural.in_base = b != nullptr;
+                 structural.in_cand = c != nullptr;
+                 diff.structure.push_back(std::move(structural));
+               });
 
   const json::Value* wall_base = profile_root(base, "nondeterministic");
   const json::Value* wall_cand = profile_root(cand, "nondeterministic");
   if (wall_base != nullptr && wall_cand != nullptr) {
-    std::map<std::string, WallNode> walls_base, walls_cand;
-    flatten_nondeterministic(*wall_base, "", walls_base);
-    flatten_nondeterministic(*wall_cand, "", walls_cand);
-    for (const auto& [path, wall] : walls_base) {
-      const auto it = walls_cand.find(path);
-      if (it == walls_cand.end()) continue;  // structural drift covers it
-      ProfileWallDiff wall_diff;
-      wall_diff.path = path;
-      wall_diff.calls_base = wall.calls;
-      wall_diff.calls_cand = it->second.calls;
-      wall_diff.total_ms_base = wall.total_ms;
-      wall_diff.total_ms_cand = it->second.total_ms;
-      diff.walls.push_back(std::move(wall_diff));
-    }
+    NodeIndex walls_base, walls_cand;
+    index_nodes(*wall_base, "", walls_base);
+    index_nodes(*wall_cand, "", walls_cand);
+    for_each_key(walls_base, walls_cand,
+                 [&](const std::string& path, const json::Value* const* b,
+                     const json::Value* const* c) {
+                   // A node on one side only is structural drift, above.
+                   if (b == nullptr || c == nullptr) return;
+                   WallDiff wall;
+                   wall.name = path;
+                   wall.calls_base = (*b)->get_number("calls", 0.0);
+                   wall.calls_cand = (*c)->get_number("calls", 0.0);
+                   wall.ms_base = (*b)->get_number("total_ms", 0.0);
+                   wall.ms_cand = (*c)->get_number("total_ms", 0.0);
+                   diff.walls.push_back(std::move(wall));
+                 });
   }
 
   return diff;

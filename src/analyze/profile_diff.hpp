@@ -6,37 +6,25 @@
 /// The comparison mirrors analyze.hpp's run-report diff split:
 ///
 ///  - The **deterministic** half -- per-node counter attribution -- is
-///    compared exactly. Any node path or counter present on only one side,
-///    or any counter whose value drifts beyond the tolerance, gates the
-///    diff (CLI exit 1). Under the docs/PARALLEL.md contract two profiles
-///    of the same instance at any thread counts must show zero drift.
+///    compared exactly through drift.hpp (DriftGate::kBothWays). Any node
+///    path present on only one side, or any counter that drifts beyond the
+///    tolerance, gates the diff (CLI exit 1). Under the docs/PARALLEL.md
+///    contract two profiles of the same instance at any thread counts must
+///    show zero drift.
 ///  - The **nondeterministic** half -- per-node wall time -- is reported as
 ///    ratios and only gated when the caller opts in with a wall tolerance
-///    (by default wall drift is informational, like TimerDiff).
+///    (by default wall drift is informational, like the report's timers).
 ///
-/// Like diff_run_reports, profiles whose embedded `instance_digest` context
-/// values disagree are refused: cross-instance counter drift is meaningless.
+/// Like diff_run_reports, profiles of different instances are refused
+/// (digest_conflict).
 
 #include <string>
 #include <vector>
 
+#include "analyze/drift.hpp"
 #include "obs/json.hpp"
 
 namespace qp::obs {
-
-/// One counter at one node path, compared across the two profiles.
-struct ProfileCounterDiff {
-  std::string path;     ///< "/"-joined span path; "" is the root node
-  std::string counter;  ///< registry counter name
-  bool in_base = false;
-  bool in_cand = false;
-  std::uint64_t base = 0;
-  std::uint64_t cand = 0;
-
-  /// |cand - base| / max(base, 1); +infinity when the counter exists on
-  /// only one side with a non-zero value.
-  double rel_drift() const;
-};
 
 /// A node path present in only one profile's deterministic tree --
 /// structural drift, gated like an infinite counter drift.
@@ -46,28 +34,19 @@ struct ProfileStructureDiff {
   bool in_cand = false;
 };
 
-/// Wall-class comparison of one node present in both profiles.
-/// Informational unless a wall tolerance is supplied to the gate.
-struct ProfileWallDiff {
-  std::string path;
-  double calls_base = 0.0, calls_cand = 0.0;
-  double total_ms_base = 0.0, total_ms_cand = 0.0;
-
-  /// |cand - base| / max(base, epsilon) over total wall time.
-  double wall_drift() const;
-};
-
 struct ProfileDiff {
   /// Non-empty when the documents are not comparable (schema mismatch,
   /// disagreeing instance digests); every other field is then unset.
   std::string error;
 
   std::vector<ProfileStructureDiff> structure;  // deterministic -- gated
-  std::vector<ProfileCounterDiff> counters;     // deterministic -- gated
-  std::vector<ProfileWallDiff> walls;           // nondeterministic
+  /// One entry per counter per common node path (CounterDrift::scope).
+  std::vector<CounterDrift> counters;           // deterministic -- gated
+  /// Nodes in both profiles; informational unless the caller gates them.
+  std::vector<WallDiff> walls;                  // nondeterministic
 
-  /// Largest relative counter drift; +infinity on any structural drift or
-  /// one-sided counter.
+  /// Largest counter drift under DriftGate::kBothWays; +infinity on any
+  /// structural drift or non-zero one-sided counter.
   double max_deterministic_drift() const;
   bool deterministic_ok(double tolerance) const {
     return error.empty() && max_deterministic_drift() <= tolerance;

@@ -1,31 +1,14 @@
 #include "analyze/trend.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-#include <map>
-#include <set>
 
 namespace qp::obs {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
 bool is_history_entry(const json::Value& entry) {
   return entry.is_object() &&
          entry.get_string("schema", "") == "qplace.bench_history.v1";
-}
-
-std::map<std::string, double> entry_counters(const json::Value& entry) {
-  std::map<std::string, double> out;
-  if (const json::Value* counters = entry.find("counters");
-      counters != nullptr && counters->is_object()) {
-    for (const auto& [name, value] : counters->object) {
-      out[name] = value.number;
-    }
-  }
-  return out;
 }
 
 double median(std::vector<double> values) {
@@ -37,24 +20,8 @@ double median(std::vector<double> values) {
 
 }  // namespace
 
-double TrendCounter::rel_change() const {
-  if (!in_latest) return kInf;  // vanished instrument
-  if (!in_baseline) return 0.0;  // new instrument: no baseline to drift from
-  return (static_cast<double>(latest) - baseline) / std::max(baseline, 1.0);
-}
-
-double TrendCounter::regression() const {
-  const double change = rel_change();
-  return change > 0.0 ? change : 0.0;
-}
-
 double TrendAnalysis::max_regression() const {
-  if (!gated) return 0.0;
-  double max = 0.0;
-  for (const auto& counter : counters) {
-    max = std::max(max, counter.regression());
-  }
-  return max;
+  return gated ? max_drift(counters, DriftGate::kIncreasesOnly) : 0.0;
 }
 
 TrendAnalysis analyze_trend(const std::vector<json::Value>& entries,
@@ -75,7 +42,7 @@ TrendAnalysis analyze_trend(const std::vector<json::Value>& entries,
     trend.error = "no qplace.bench_history.v1 entries in the history";
     return trend;
   }
-  trend.instance_digest = latest->get_string("instance_digest", "");
+  trend.instance_digest = instance_digest_of(*latest);
   trend.latest_git_sha = latest->get_string("git_sha", "");
 
   // Prior comparable entries, newest first, capped at the window.
@@ -89,7 +56,7 @@ TrendAnalysis analyze_trend(const std::vector<json::Value>& entries,
       continue;
     }
     if (!is_history_entry(entry) ||
-        entry.get_string("instance_digest", "") != trend.instance_digest) {
+        instance_digest_of(entry) != trend.instance_digest) {
       ++trend.entries_skipped;
       continue;
     }
@@ -98,38 +65,18 @@ TrendAnalysis analyze_trend(const std::vector<json::Value>& entries,
   trend.baseline_entries = window.size();
   trend.gated = !window.empty();
 
-  const std::map<std::string, double> latest_counters =
-      entry_counters(*latest);
-  std::map<std::string, std::vector<double>> histories;
-  // Oldest window entry first so TrendCounter::history reads left to right.
+  // Oldest window entry first so the history reads left to right.
   for (auto it = window.rbegin(); it != window.rend(); ++it) {
-    for (const auto& [name, value] : entry_counters(**it)) {
-      histories[name].push_back(value);
+    for (const auto& [name, value] : counter_map((*it)->find("counters"))) {
+      trend.history[name].push_back(value);
     }
   }
-
-  std::set<std::string> names;
-  for (const auto& [name, value] : latest_counters) names.insert(name);
-  for (const auto& [name, history] : histories) names.insert(name);
-
-  for (const std::string& name : names) {
-    TrendCounter counter;
-    counter.name = name;
-    const auto latest_it = latest_counters.find(name);
-    counter.in_latest = latest_it != latest_counters.end();
-    if (counter.in_latest) {
-      counter.latest = static_cast<std::uint64_t>(latest_it->second);
-    }
-    const auto history_it = histories.find(name);
-    counter.in_baseline = history_it != histories.end();
-    if (counter.in_baseline) {
-      counter.history = history_it->second;
-      counter.samples = history_it->second.size();
-      counter.baseline = median(history_it->second);
-    }
-    trend.counters.push_back(std::move(counter));
+  CounterMap baseline;
+  for (const auto& [name, values] : trend.history) {
+    baseline[name] = median(values);
   }
-
+  compare_counters(baseline, counter_map(latest->find("counters")), "",
+                   trend.counters);
   return trend;
 }
 

@@ -12,20 +12,18 @@
 /// bench itself changed and history restarts). The median makes the gate
 /// robust to a single outlier entry poisoning the baseline.
 ///
-/// Gating follows the deterministic-counter discipline of analyze.hpp:
-/// counters are exact work measures, so an *increase* beyond the tolerance
-/// is a perf regression (exit 1 from `qplace analyze --trend`); a decrease
-/// is reported as an improvement but never gates; a counter that vanishes
-/// from the newest entry gates like an infinite drift (the instrument
-/// disappeared -- usually a broken build, not an optimization); a counter
-/// appearing for the first time is reported but not gated (no baseline).
-/// With fewer than two usable entries there is no baseline and nothing
-/// gates -- the trend is "no history yet", exit 0.
+/// Gating is drift.hpp's DriftGate::kIncreasesOnly: an *increase* beyond
+/// the tolerance is a perf regression (exit 1 from `qplace analyze
+/// --trend`), a decrease is an improvement, a vanished counter gates like an
+/// infinite drift, and a new counter is reported but never gated. With
+/// fewer than two usable entries there is no baseline and nothing gates --
+/// the trend is "no history yet", exit 0.
 
-#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "analyze/drift.hpp"
 #include "obs/json.hpp"
 
 namespace qp::obs {
@@ -35,24 +33,6 @@ struct TrendOptions {
   double tolerance = 0.10;
   /// Number of prior entries the rolling baseline is computed over.
   std::size_t window = 5;
-};
-
-/// One counter's trajectory across the history window.
-struct TrendCounter {
-  std::string name;
-  bool in_baseline = false;  ///< at least one prior entry has it
-  bool in_latest = false;
-  double baseline = 0.0;        ///< median over the window (when in_baseline)
-  std::uint64_t latest = 0;     ///< newest entry's value (when in_latest)
-  std::size_t samples = 0;      ///< prior entries contributing to baseline
-  std::vector<double> history;  ///< window values oldest -> newest (no latest)
-
-  /// Signed relative change vs baseline: (latest - baseline) /
-  /// max(baseline, 1). +infinity for a vanished counter; 0 for a new one
-  /// (nothing to regress against).
-  double rel_change() const;
-  /// The gating magnitude: positive rel_change (increase or vanish), else 0.
-  double regression() const;
 };
 
 struct TrendAnalysis {
@@ -69,9 +49,16 @@ struct TrendAnalysis {
   /// prior entries skipped): regressions cannot be assessed, exit 0.
   bool gated = false;
 
-  std::vector<TrendCounter> counters;
+  /// Newest entry (cand) against the window median (base), one per counter
+  /// of either; CounterDrift::gated(DriftGate::kIncreasesOnly) is the
+  /// regression the gate holds against its tolerance.
+  std::vector<CounterDrift> counters;
+  /// Per-counter window values, oldest -> newest (the newest entry not
+  /// included); the median of each is the counter's baseline.
+  std::map<std::string, std::vector<double>> history;
 
-  /// Largest TrendCounter::regression() (0 when not gated or none regressed).
+  /// Largest regression over `counters` (0 when not gated or none
+  /// regressed).
   double max_regression() const;
   bool ok(double tolerance) const {
     return error.empty() && (!gated || max_regression() <= tolerance);

@@ -37,7 +37,7 @@ PlacementReport evaluate_placement(const QppInstance& instance,
   return report;
 }
 
-std::string PlacementReport::to_string() const {
+std::string PlacementReport::to_string(double load_bound) const {
   std::ostringstream os;
   os << "avg max-delay        : " << average_max_delay << '\n'
      << "avg total-delay      : " << average_total_delay << '\n'
@@ -45,7 +45,7 @@ std::string PlacementReport::to_string() const {
      << "worst client delay   : " << worst_client_max_delay << '\n'
      << "max node load        : " << max_load << '\n'
      << "max load/cap         : " << max_capacity_violation
-     << (capacity_feasible ? "  (feasible)" : "  (VIOLATED)") << '\n'
+     << "  (bound: load <= " << load_bound << " cap)" << '\n'
      << "distinct nodes used  : " << distinct_nodes_used << '\n'
      << "best relay / delay   : v" << best_relay << " / " << relay_delay
      << '\n';

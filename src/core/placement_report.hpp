@@ -23,8 +23,12 @@ struct PlacementReport {
   int best_relay = 0;                    ///< argmin_v Delta_f(v) (Lemma 3.1)
   double relay_delay = 0.0;              ///< relay-via-best_relay delay
 
-  /// Multi-line human-readable rendering.
-  std::string to_string() const;
+  /// Multi-line human-readable rendering. `load_bound` is the multiple of
+  /// cap(v) the producing algorithm guarantees -- alpha+1 for Thm 1.2 / 3.7
+  /// (bicriteria), 2 for Thm 5.1, 1 for the Grid/Majority layouts -- and is
+  /// printed next to the raw max load/cap ratio instead of a verdict
+  /// against 1 * cap that a bicriteria placement legitimately exceeds.
+  std::string to_string(double load_bound) const;
 };
 
 /// Evaluates all metrics. \throws std::invalid_argument on an invalid

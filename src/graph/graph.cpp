@@ -71,16 +71,6 @@ bool Graph::is_connected() const {
   return count == n;
 }
 
-double Graph::total_edge_length() const {
-  double total = 0.0;
-  for (int a = 0; a < num_nodes(); ++a) {
-    for (const HalfEdge& he : adjacency_[static_cast<std::size_t>(a)]) {
-      if (a < he.to) total += he.length;
-    }
-  }
-  return total;
-}
-
 std::string Graph::describe() const {
   return "Graph(n=" + std::to_string(num_nodes()) +
          ", m=" + std::to_string(num_edges()) + ")";

@@ -57,9 +57,6 @@ class Graph {
   /// True if every pair of nodes is joined by some path.
   bool is_connected() const;
 
-  /// Total length of all edges.
-  double total_edge_length() const;
-
   /// Human-readable one-line summary ("Graph(n=5, m=7)").
   std::string describe() const;
 

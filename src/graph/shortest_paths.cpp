@@ -11,19 +11,6 @@
 
 namespace qp::graph {
 
-std::vector<int> ShortestPathTree::path_to(int target) const {
-  if (target < 0 || target >= static_cast<int>(distance.size())) {
-    throw std::invalid_argument("path_to: target out of range");
-  }
-  if (distance[static_cast<std::size_t>(target)] == kUnreachable) return {};
-  std::vector<int> path;
-  for (int v = target; v != -1; v = parent[static_cast<std::size_t>(v)]) {
-    path.push_back(v);
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
 ShortestPathTree dijkstra(const Graph& g, int source) {
   const int n = g.num_nodes();
   if (source < 0 || source >= n) {

@@ -19,10 +19,6 @@ struct ShortestPathTree {
   int source = 0;
   std::vector<double> distance;  ///< distance[v] = d(source, v); inf if unreachable
   std::vector<int> parent;       ///< parent[v] in the SP tree; -1 for source/unreachable
-
-  /// Reconstructs the node sequence from source to \p target (inclusive).
-  /// Returns an empty vector if target is unreachable.
-  std::vector<int> path_to(int target) const;
 };
 
 /// Dijkstra from \p source. O((n + m) log n).

@@ -14,16 +14,6 @@ int Model::add_variable(double objective_coefficient, std::string name) {
   return static_cast<int>(objective_.size()) - 1;
 }
 
-void Model::set_objective_coefficient(int variable, double coefficient) {
-  if (variable < 0 || variable >= num_variables()) {
-    throw std::invalid_argument("Model: variable out of range");
-  }
-  if (!std::isfinite(coefficient)) {
-    throw std::invalid_argument("Model: objective coefficient must be finite");
-  }
-  objective_[static_cast<std::size_t>(variable)] = coefficient;
-}
-
 void Model::add_constraint(std::vector<std::pair<int, double>> terms,
                            Relation relation, double rhs) {
   if (!std::isfinite(rhs)) {

@@ -27,9 +27,6 @@ class Model {
   /// Adds a variable with the given objective coefficient; returns its index.
   int add_variable(double objective_coefficient = 0.0, std::string name = "");
 
-  /// Overwrites the objective coefficient of an existing variable.
-  void set_objective_coefficient(int variable, double coefficient);
-
   /// Adds a constraint row. Terms may mention a variable more than once
   /// (coefficients are summed by the solver). \throws std::invalid_argument
   /// on out-of-range variable ids or non-finite numbers.

@@ -1,7 +1,6 @@
 #include "obs/access_log.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -11,36 +10,6 @@
 namespace qp::obs {
 
 namespace {
-
-void append_double(std::string& out, double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out += buf;
-}
-
-void append_int(std::string& out, std::int64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));
-  out += buf;
-}
-
-void append_escaped_string(std::string& out, const std::string& text) {
-  out.push_back('"');
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  out.push_back('"');
-}
 
 /// splitmix64 finalizer: a bijective avalanche mix, so consecutive access
 /// ids map to effectively independent uniform draws.
@@ -74,33 +43,33 @@ AccessOutcome access_outcome_from_name(const std::string& name) {
 
 std::string render_access_record(const AccessRecord& record) {
   std::string out = "{\"id\": ";
-  append_int(out, record.id);
+  json::append_int(out, record.id);
   out += ", \"client\": ";
-  append_int(out, record.client);
+  json::append_int(out, record.client);
   out += ", \"quorum\": ";
-  append_int(out, record.quorum);
+  json::append_int(out, record.quorum);
   out += ", \"relay\": ";
-  append_int(out, record.relay);
+  json::append_int(out, record.relay);
   out += ", \"attempts\": ";
-  append_int(out, record.attempts);
+  json::append_int(out, record.attempts);
   out += ", \"outcome\": ";
-  append_escaped_string(out, access_outcome_name(record.outcome));
+  json::append_string(out, access_outcome_name(record.outcome));
   out += ", \"start\": ";
-  append_double(out, record.start);
+  json::append_double(out, record.start);
   out += ", \"finish\": ";
-  append_double(out, record.finish);
+  json::append_double(out, record.finish);
   out += ", \"probes\": [";
   for (std::size_t i = 0; i < record.probes.size(); ++i) {
     if (i > 0) out += ", ";
     const AccessProbe& probe = record.probes[i];
     out += "[";
-    append_int(out, probe.element);
+    json::append_int(out, probe.element);
     out += ", ";
-    append_int(out, probe.node);
+    json::append_int(out, probe.node);
     out += ", ";
-    append_double(out, probe.net_delay);
+    json::append_double(out, probe.net_delay);
     out += ", ";
-    append_double(out, probe.queue_wait);
+    json::append_double(out, probe.queue_wait);
     out += "]";
   }
   out += "]}";
@@ -160,9 +129,9 @@ void AccessLogWriter::close() {
   for (const auto& [key, value] : context_) {
     if (!first) header += ", ";
     first = false;
-    append_escaped_string(header, key);
+    json::append_string(header, key);
     header += ": ";
-    append_escaped_string(header, value);
+    json::append_string(header, value);
   }
   header += "}}";
   out_ << header << "\n";

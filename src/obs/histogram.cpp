@@ -2,28 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <stdexcept>
 
+#include "obs/json.hpp"
+
 namespace qp::obs {
-
-namespace {
-
-void append_double(std::string& out, double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out += buf;
-}
-
-void append_uint(std::string& out, std::uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(value));
-  out += buf;
-}
-
-}  // namespace
 
 LogHistogram::LogHistogram()
     : buckets_(static_cast<std::size_t>(kNumBuckets), 0) {}
@@ -114,28 +98,28 @@ double LogHistogram::quantile(double q) const {
 
 std::string LogHistogram::to_json() const {
   std::string out = "{\"count\": ";
-  append_uint(out, count_);
+  json::append_uint(out, count_);
   out += ", \"underflow\": ";
-  append_uint(out, underflow_);
+  json::append_uint(out, underflow_);
   out += ", \"overflow\": ";
-  append_uint(out, overflow_);
+  json::append_uint(out, overflow_);
   out += ", \"min\": ";
-  append_double(out, min());
+  json::append_double(out, min());
   out += ", \"max\": ";
-  append_double(out, max());
+  json::append_double(out, max());
   out += ", \"sum\": ";
-  append_double(out, sum_);
+  json::append_double(out, sum_);
   // mean()/quantile() are NaN on an empty histogram; JSON has no NaN, so
   // emit null there -- a reader must not mistake "no samples" for a
   // measured zero, and analyze --diff flags null-vs-number as schema drift.
   out += ", \"mean\": ";
-  if (count_ > 0) append_double(out, mean()); else out += "null";
+  if (count_ > 0) json::append_double(out, mean()); else out += "null";
   out += ", \"p50\": ";
-  if (count_ > 0) append_double(out, quantile(0.50)); else out += "null";
+  if (count_ > 0) json::append_double(out, quantile(0.50)); else out += "null";
   out += ", \"p90\": ";
-  if (count_ > 0) append_double(out, quantile(0.90)); else out += "null";
+  if (count_ > 0) json::append_double(out, quantile(0.90)); else out += "null";
   out += ", \"p99\": ";
-  if (count_ > 0) append_double(out, quantile(0.99)); else out += "null";
+  if (count_ > 0) json::append_double(out, quantile(0.99)); else out += "null";
   out += ", \"buckets\": [";
   bool first = true;
   for (int b = 0; b < kNumBuckets; ++b) {
@@ -144,9 +128,9 @@ std::string LogHistogram::to_json() const {
     if (!first) out += ", ";
     first = false;
     out += "[";
-    append_uint(out, static_cast<std::uint64_t>(b));
+    json::append_uint(out, static_cast<std::uint64_t>(b));
     out += ", ";
-    append_uint(out, n);
+    json::append_uint(out, n);
     out += "]";
   }
   out += "]}";

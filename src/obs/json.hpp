@@ -1,18 +1,23 @@
 #pragma once
 
 /// \file json.hpp
-/// Minimal recursive-descent JSON reader for the observability tooling.
+/// Minimal JSON writer and recursive-descent reader for the observability
+/// tooling.
 ///
-/// The obs layer *writes* JSON by direct string building (run_report.hpp,
-/// access_log.hpp); this is the matching *reader* used by `qplace analyze`
-/// to load access logs, run reports (`qplace.run_report.v1`), and the
-/// committed bench baseline back into memory for cross-checking and
-/// diffing. It is deliberately small: strict JSON, doubles for all numbers
-/// (every value we emit round-trips through %.17g), objects as sorted maps
-/// so iteration order matches the sorted-key emission contract.
+/// Every artifact (run reports, profiles, Chrome traces, access logs,
+/// timeseries, fault schedules) is *written* by direct string building
+/// with the append_* helpers below, so all of them escape strings and
+/// print numbers the same way. The *reader* loads them back for `qplace
+/// analyze` -- access logs, run reports (`qplace.run_report.v1`), and the
+/// committed bench history -- for cross-checking and diffing. It is
+/// deliberately small: strict JSON, doubles for all numbers (every value
+/// we emit round-trips through %.17g), objects as sorted maps so iteration
+/// order matches the sorted-key emission contract.
 
+#include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qp::obs::json {
@@ -48,5 +53,20 @@ struct Value {
 /// Parses one JSON document (leading/trailing whitespace allowed).
 /// \throws std::runtime_error on malformed input, with position context.
 Value parse(const std::string& text);
+
+// ------------------------------------------------------------------ writer
+
+/// `text` with quote and backslash escaped and control characters as
+/// \u00XX, without the surrounding quotes.
+void append_escaped(std::string& out, std::string_view text);
+/// `text` as a quoted, escaped JSON string.
+void append_string(std::string& out, std::string_view text);
+/// %.17g: round-trips every double exactly.
+void append_double(std::string& out, double value);
+void append_uint(std::string& out, std::uint64_t value);
+void append_int(std::string& out, std::int64_t value);
+/// `{"key": value, ...}` from pre-rendered values, in key order.
+void append_object(std::string& out,
+                   const std::map<std::string, std::string>& rendered);
 
 }  // namespace qp::obs::json

@@ -1,10 +1,10 @@
 #include "obs/profile.hpp"
 
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <utility>
 
+#include "obs/json.hpp"
 #include "obs/obs.hpp"
 
 namespace qp::obs {
@@ -50,41 +50,6 @@ std::vector<std::pair<std::uint32_t, std::uint64_t>> flatten(
 
 // ------------------------------------------------------------- JSON helpers
 
-void append_escaped(std::string& out, const std::string& text) {
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
-void append_string(std::string& out, const std::string& text) {
-  out.push_back('"');
-  append_escaped(out, text);
-  out.push_back('"');
-}
-
-void append_double(std::string& out, double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out += buf;
-}
-
-void append_uint(std::string& out, std::uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(value));
-  out += buf;
-}
-
 /// Deterministic subtree of one node: {"counters": {...}, "children": {...}}.
 void append_deterministic(std::string& out, const ProfileNode& node) {
   out += "{\"counters\": {";
@@ -92,16 +57,16 @@ void append_deterministic(std::string& out, const ProfileNode& node) {
   for (const auto& [name, value] : node.counters) {
     if (!first) out += ", ";
     first = false;
-    append_string(out, name);
+    json::append_string(out, name);
     out += ": ";
-    append_uint(out, value);
+    json::append_uint(out, value);
   }
   out += "}, \"children\": {";
   first = true;
   for (const auto& [name, child] : node.children) {
     if (!first) out += ", ";
     first = false;
-    append_string(out, name);
+    json::append_string(out, name);
     out += ": ";
     append_deterministic(out, child);
   }
@@ -112,20 +77,20 @@ void append_deterministic(std::string& out, const ProfileNode& node) {
 /// {"calls": N, "children": {...}, "self_ms": S, "total_ms": T}.
 void append_nondeterministic(std::string& out, const ProfileNode& node) {
   out += "{\"calls\": ";
-  append_uint(out, node.calls);
+  json::append_uint(out, node.calls);
   out += ", \"children\": {";
   bool first = true;
   for (const auto& [name, child] : node.children) {
     if (!first) out += ", ";
     first = false;
-    append_string(out, name);
+    json::append_string(out, name);
     out += ": ";
     append_nondeterministic(out, child);
   }
   out += "}, \"self_ms\": ";
-  append_double(out, static_cast<double>(node.self_nanos()) / 1e6);
+  json::append_double(out, static_cast<double>(node.self_nanos()) / 1e6);
   out += ", \"total_ms\": ";
-  append_double(out, static_cast<double>(node.total_nanos) / 1e6);
+  json::append_double(out, static_cast<double>(node.total_nanos) / 1e6);
   out += "}";
 }
 
@@ -135,7 +100,7 @@ void append_folded(std::string& out, const ProfileNode& node,
     const std::string path = prefix.empty() ? name : prefix + ";" + name;
     out += path;
     out.push_back(' ');
-    append_uint(out, static_cast<std::uint64_t>(
+    json::append_uint(out, static_cast<std::uint64_t>(
                          child.self_nanos() > 0 ? child.self_nanos() / 1000
                                                 : 0));
     out.push_back('\n');
@@ -457,24 +422,24 @@ std::string Profile::to_json(
     const std::string& command,
     const std::map<std::string, std::string>& context) const {
   std::string out = "{\"schema\": \"qplace.profile.v1\", \"command\": ";
-  append_string(out, command);
+  json::append_string(out, command);
   out += ", \"context\": {";
   bool first = true;
   for (const auto& [key, value] : context) {
     if (!first) out += ", ";
     first = false;
-    append_string(out, key);
+    json::append_string(out, key);
     out += ": ";
-    append_string(out, value);
+    json::append_string(out, value);
   }
   out += "}, \"deterministic\": {\"root\": ";
   append_deterministic(out, root);
   out += "}, \"nondeterministic\": {\"dropped\": ";
-  append_uint(out, dropped);
+  json::append_uint(out, dropped);
   out += ", \"root\": ";
   append_nondeterministic(out, root);
   out += ", \"threads\": ";
-  append_uint(out, threads);
+  json::append_uint(out, threads);
   out += "}}";
   return out;
 }

@@ -1,27 +1,14 @@
 #include "obs/prom.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <utility>
 
+#include "obs/json.hpp"
 #include "obs/obs.hpp"
 
 namespace qp::obs {
 
 namespace {
-
-void append_double(std::string& out, double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out += buf;
-}
-
-void append_uint(std::string& out, std::uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(value));
-  out += buf;
-}
 
 bool prometheus_char(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
@@ -54,7 +41,7 @@ std::string render_prometheus(const Registry& registry) {
     append_type(out, metric, "counter");
     out += metric;
     out.push_back(' ');
-    append_uint(out, value);
+    json::append_uint(out, value);
     out.push_back('\n');
   }
   for (const auto& [name, value] : registry.gauge_values()) {
@@ -62,7 +49,7 @@ std::string render_prometheus(const Registry& registry) {
     append_type(out, metric, "gauge");
     out += metric;
     out.push_back(' ');
-    append_double(out, value);
+    json::append_double(out, value);
     out.push_back('\n');
   }
   for (const auto& [name, stat] : registry.timer_values()) {
@@ -71,13 +58,13 @@ std::string render_prometheus(const Registry& registry) {
     append_type(out, seconds, "counter");
     out += seconds;
     out.push_back(' ');
-    append_double(out, stat.second / 1e3);  // timer_values reports ms
+    json::append_double(out, stat.second / 1e3);  // timer_values reports ms
     out.push_back('\n');
     const std::string calls = base + "_calls_total";
     append_type(out, calls, "counter");
     out += calls;
     out.push_back(' ');
-    append_uint(out, stat.first);
+    json::append_uint(out, stat.first);
     out.push_back('\n');
   }
   for (const auto& [name, values] : registry.series_values()) {
@@ -86,7 +73,7 @@ std::string render_prometheus(const Registry& registry) {
     append_type(out, metric, "gauge");
     out += metric;
     out.push_back(' ');
-    append_double(out, values.back());
+    json::append_double(out, values.back());
     out.push_back('\n');
   }
   return out;
@@ -133,17 +120,17 @@ void append_prometheus_summary(std::string& out, const std::string& name,
       out += "{quantile=\"";
       out += label;
       out += "\"} ";
-      append_double(out, value);
+      json::append_double(out, value);
       out.push_back('\n');
     }
   }
   out += base;
   out += "_sum ";
-  append_double(out, point.sum);
+  json::append_double(out, point.sum);
   out.push_back('\n');
   out += base;
   out += "_count ";
-  append_uint(out, point.count);
+  json::append_uint(out, point.count);
   out.push_back('\n');
 }
 

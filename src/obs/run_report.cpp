@@ -1,6 +1,5 @@
 #include "obs/run_report.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <stdexcept>
 
@@ -8,63 +7,10 @@
 #include <sys/resource.h>
 #endif
 
+#include "obs/json.hpp"
 #include "obs/obs.hpp"
 
 namespace qp::obs {
-
-namespace {
-
-void append_escaped(std::string& out, const std::string& text) {
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
-void append_string(std::string& out, const std::string& text) {
-  out.push_back('"');
-  append_escaped(out, text);
-  out.push_back('"');
-}
-
-void append_double(std::string& out, double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out += buf;
-}
-
-void append_uint(std::string& out, std::uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(value));
-  out += buf;
-}
-
-/// Emits `"key": <value>` pairs of a pre-rendered map as a JSON object.
-void append_object(std::string& out,
-                   const std::map<std::string, std::string>& rendered) {
-  out.push_back('{');
-  bool first = true;
-  for (const auto& [key, value] : rendered) {
-    if (!first) out += ", ";
-    first = false;
-    append_string(out, key);
-    out += ": ";
-    out += value;
-  }
-  out.push_back('}');
-}
-
-}  // namespace
 
 void RunReport::set_context(const std::string& key, const std::string& value) {
   context_[key] = value;
@@ -84,17 +30,17 @@ std::string RunReport::to_json() const {
   const Registry& registry = Registry::instance();
 
   std::string out = "{\"schema\": \"qplace.run_report.v1\", \"command\": ";
-  append_string(out, command_);
+  json::append_string(out, command_);
 
   out += ", \"context\": ";
   {
     std::map<std::string, std::string> rendered;
     for (const auto& [key, value] : context_) {
       std::string cell;
-      append_string(cell, value);
+      json::append_string(cell, value);
       rendered[key] = cell;
     }
-    append_object(out, rendered);
+    json::append_object(out, rendered);
   }
 
   out += ", \"deterministic\": {\"counters\": ";
@@ -102,10 +48,10 @@ std::string RunReport::to_json() const {
     std::map<std::string, std::string> rendered;
     for (const auto& [name, value] : registry.counter_values()) {
       std::string cell;
-      append_uint(cell, value);
+      json::append_uint(cell, value);
       rendered[name] = cell;
     }
-    append_object(out, rendered);
+    json::append_object(out, rendered);
   }
   out += ", \"series\": ";
   {
@@ -114,15 +60,15 @@ std::string RunReport::to_json() const {
       std::string cell = "[";
       for (std::size_t i = 0; i < values.size(); ++i) {
         if (i > 0) cell += ", ";
-        append_double(cell, values[i]);
+        json::append_double(cell, values[i]);
       }
       cell += "]";
       rendered[name] = cell;
     }
-    append_object(out, rendered);
+    json::append_object(out, rendered);
   }
   out += ", \"histograms\": ";
-  append_object(out, histograms_);
+  json::append_object(out, histograms_);
   out += "}";
 
   out += ", \"nondeterministic\": {\"timers\": ";
@@ -130,23 +76,23 @@ std::string RunReport::to_json() const {
     std::map<std::string, std::string> rendered;
     for (const auto& [name, stat] : registry.timer_values()) {
       std::string cell = "{\"calls\": ";
-      append_uint(cell, stat.first);
+      json::append_uint(cell, stat.first);
       cell += ", \"total_ms\": ";
-      append_double(cell, stat.second);
+      json::append_double(cell, stat.second);
       cell += "}";
       rendered[name] = cell;
     }
-    append_object(out, rendered);
+    json::append_object(out, rendered);
   }
   out += ", \"gauges\": ";
   {
     std::map<std::string, std::string> rendered;
     for (const auto& [name, value] : registry.gauge_values()) {
       std::string cell;
-      append_double(cell, value);
+      json::append_double(cell, value);
       rendered[name] = cell;
     }
-    append_object(out, rendered);
+    json::append_object(out, rendered);
   }
 #if defined(__unix__) || defined(__APPLE__)
   // Process-level resource footprint: wall-class data (the RSS peak depends
@@ -163,12 +109,12 @@ std::string RunReport::to_json() const {
       max_rss_kb /= 1024;
 #endif
       resources_json_ = "{\"max_rss_kb\": ";
-      append_uint(resources_json_, max_rss_kb);
+      json::append_uint(resources_json_, max_rss_kb);
       resources_json_ += ", \"page_faults_major\": ";
-      append_uint(resources_json_,
+      json::append_uint(resources_json_,
                   static_cast<std::uint64_t>(usage.ru_majflt));
       resources_json_ += ", \"page_faults_minor\": ";
-      append_uint(resources_json_,
+      json::append_uint(resources_json_,
                   static_cast<std::uint64_t>(usage.ru_minflt));
       resources_json_ += "}";
     }
@@ -180,7 +126,7 @@ std::string RunReport::to_json() const {
   }
   for (const auto& [key, json] : extra_nondeterministic_) {
     out += ", ";
-    append_string(out, key);
+    json::append_string(out, key);
     out += ": ";
     out += json;
   }

@@ -13,47 +13,13 @@
 #include <unistd.h>
 #endif
 
+#include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/prom.hpp"
 
 namespace qp::obs {
 
 namespace {
-
-void append_escaped(std::string& out, const std::string& text) {
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
-void append_string(std::string& out, const std::string& text) {
-  out.push_back('"');
-  append_escaped(out, text);
-  out.push_back('"');
-}
-
-void append_double(std::string& out, double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out += buf;
-}
-
-void append_uint(std::string& out, std::uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(value));
-  out += buf;
-}
 
 /// NaN has no JSON literal; quantiles of an empty histogram render as null
 /// so readers cannot mistake "no data" for a measured zero (same rule as
@@ -62,56 +28,41 @@ void append_double_or_null(std::string& out, double value) {
   if (std::isnan(value)) {
     out += "null";
   } else {
-    append_double(out, value);
+    json::append_double(out, value);
   }
-}
-
-/// Emits `"key": <value>` pairs of a pre-rendered map as a JSON object.
-void append_object(std::string& out,
-                   const std::map<std::string, std::string>& rendered) {
-  out.push_back('{');
-  bool first = true;
-  for (const auto& [key, value] : rendered) {
-    if (!first) out += ", ";
-    first = false;
-    append_string(out, key);
-    out += ": ";
-    out += value;
-  }
-  out.push_back('}');
 }
 
 void append_snapshot_line(std::string& out, const MetricsSnapshot& snapshot) {
   out += "{\"deterministic\": {\"t\": ";
-  append_double(out, snapshot.sim_time);
+  json::append_double(out, snapshot.sim_time);
   out += ", \"counters\": ";
   {
     std::map<std::string, std::string> rendered;
     for (const auto& [name, value] : snapshot.counters) {
       std::string cell;
-      append_uint(cell, value);
+      json::append_uint(cell, value);
       rendered[name] = cell;
     }
-    append_object(out, rendered);
+    json::append_object(out, rendered);
   }
   out += ", \"values\": ";
   {
     std::map<std::string, std::string> rendered;
     for (const auto& [name, value] : snapshot.values) {
       std::string cell;
-      append_double(cell, value);
+      json::append_double(cell, value);
       rendered[name] = cell;
     }
-    append_object(out, rendered);
+    json::append_object(out, rendered);
   }
   out += ", \"histograms\": ";
   {
     std::map<std::string, std::string> rendered;
     for (const auto& [name, point] : snapshot.histograms) {
       std::string cell = "{\"count\": ";
-      append_uint(cell, point.count);
+      json::append_uint(cell, point.count);
       cell += ", \"sum\": ";
-      append_double(cell, point.sum);
+      json::append_double(cell, point.sum);
       cell += ", \"p50\": ";
       append_double_or_null(cell, point.p50);
       cell += ", \"p90\": ";
@@ -121,19 +72,19 @@ void append_snapshot_line(std::string& out, const MetricsSnapshot& snapshot) {
       cell += "}";
       rendered[name] = cell;
     }
-    append_object(out, rendered);
+    json::append_object(out, rendered);
   }
   out += "}, \"nondeterministic\": {\"wall_ms\": ";
-  append_double(out, snapshot.wall_ms);
+  json::append_double(out, snapshot.wall_ms);
   out += ", \"gauges\": ";
   {
     std::map<std::string, std::string> rendered;
     for (const auto& [name, value] : snapshot.gauges) {
       std::string cell;
-      append_double(cell, value);
+      json::append_double(cell, value);
       rendered[name] = cell;
     }
-    append_object(out, rendered);
+    json::append_object(out, rendered);
   }
   out += "}}\n";
 }
@@ -226,17 +177,17 @@ std::string MetricsSnapshotter::to_jsonl() const {
     std::map<std::string, std::string> rendered;
     for (const auto& [key, value] : context_) {
       std::string cell;
-      append_string(cell, value);
+      json::append_string(cell, value);
       rendered[key] = cell;
     }
-    append_object(out, rendered);
+    json::append_object(out, rendered);
   }
   out += ", \"capacity\": ";
-  append_uint(out, config_.capacity);
+  json::append_uint(out, config_.capacity);
   out += ", \"samples\": ";
-  append_uint(out, ring_.size());
+  json::append_uint(out, ring_.size());
   out += ", \"dropped\": ";
-  append_uint(out, dropped_);
+  json::append_uint(out, dropped_);
   out += "}\n";
   for (const MetricsSnapshot& snapshot : ring_) {
     append_snapshot_line(out, snapshot);

@@ -14,17 +14,6 @@ std::string format_length(double value) {
   return os.str();
 }
 
-std::string csv_escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (char c : cell) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 }  // namespace
 
 std::string to_dot(const graph::Graph& g) {
@@ -74,28 +63,6 @@ std::string placement_to_dot(const graph::Graph& g,
        << format_length(e.length) << "\"];\n";
   }
   os << "}\n";
-  return os.str();
-}
-
-std::string to_csv(const std::vector<std::string>& header,
-                   const std::vector<std::vector<std::string>>& rows) {
-  if (header.empty()) {
-    throw std::invalid_argument("to_csv: header must be non-empty");
-  }
-  std::ostringstream os;
-  for (std::size_t c = 0; c < header.size(); ++c) {
-    os << (c ? "," : "") << csv_escape(header[c]);
-  }
-  os << '\n';
-  for (const auto& row : rows) {
-    if (row.size() != header.size()) {
-      throw std::invalid_argument("to_csv: ragged row");
-    }
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      os << (c ? "," : "") << csv_escape(row[c]);
-    }
-    os << '\n';
-  }
   return os.str();
 }
 

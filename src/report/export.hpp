@@ -2,8 +2,7 @@
 
 /// \file export.hpp
 /// Export helpers for downstream tooling: Graphviz DOT for topologies and
-/// placements, CSV for experiment series. Pure string builders -- callers
-/// decide where the bytes go.
+/// placements. Pure string builders -- callers decide where the bytes go.
 
 #include <string>
 #include <vector>
@@ -20,11 +19,5 @@ std::string to_dot(const graph::Graph& g);
 /// with their element lists; pure clients stay circles.
 std::string placement_to_dot(const graph::Graph& g,
                              const core::Placement& placement);
-
-/// CSV with a header row; every row must have header.size() cells.
-/// Cells containing commas/quotes/newlines are quoted per RFC 4180.
-/// \throws std::invalid_argument on ragged rows or an empty header.
-std::string to_csv(const std::vector<std::string>& header,
-                   const std::vector<std::vector<std::string>>& rows);
 
 }  // namespace qp::report

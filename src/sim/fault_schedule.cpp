@@ -52,23 +52,11 @@ bool contains(const std::vector<int>& sorted, int node) {
   return std::binary_search(sorted.begin(), sorted.end(), node);
 }
 
-void append_double(std::string& out, double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out += buf;
-}
-
-void append_int(std::string& out, int value) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%d", value);
-  out += buf;
-}
-
 void append_side(std::string& out, const std::vector<int>& side) {
   out += "[";
   for (std::size_t i = 0; i < side.size(); ++i) {
     if (i > 0) out += ", ";
-    append_int(out, side[i]);
+    obs::json::append_int(out, side[i]);
   }
   out += "]";
 }
@@ -275,11 +263,11 @@ std::string render_fault_schedule(const FaultSchedule& schedule) {
     const CrashWindow& w = schedule.crashes()[i];
     if (i > 0) out += ", ";
     out += "{\"node\": ";
-    append_int(out, w.node);
+    obs::json::append_int(out, w.node);
     out += ", \"from\": ";
-    append_double(out, w.from);
+    obs::json::append_double(out, w.from);
     out += ", \"until\": ";
-    append_double(out, w.until);
+    obs::json::append_double(out, w.until);
     out += "}";
   }
   out += "], \"partitions\": [";
@@ -291,9 +279,9 @@ std::string render_fault_schedule(const FaultSchedule& schedule) {
     out += ", \"b\": ";
     append_side(out, w.side_b);
     out += ", \"from\": ";
-    append_double(out, w.from);
+    obs::json::append_double(out, w.from);
     out += ", \"until\": ";
-    append_double(out, w.until);
+    obs::json::append_double(out, w.until);
     out += "}";
   }
   out += "], \"gray\": [";
@@ -301,13 +289,13 @@ std::string render_fault_schedule(const FaultSchedule& schedule) {
     const GrayWindow& w = schedule.gray()[i];
     if (i > 0) out += ", ";
     out += "{\"node\": ";
-    append_int(out, w.node);
+    obs::json::append_int(out, w.node);
     out += ", \"from\": ";
-    append_double(out, w.from);
+    obs::json::append_double(out, w.from);
     out += ", \"until\": ";
-    append_double(out, w.until);
+    obs::json::append_double(out, w.until);
     out += ", \"factor\": ";
-    append_double(out, w.factor);
+    obs::json::append_double(out, w.factor);
     out += "}";
   }
   out += "]}";

@@ -651,9 +651,11 @@ TEST(ReportDiff, RefusesDisagreeingInstanceDigests) {
 }
 
 TEST(ReportDiff, AcceptsBenchBaselineFormat) {
+  // One BENCH_history.jsonl line: the `run_bench.sh --quick` baseline.
   const obs::json::Value bench = obs::json::parse(
-      "{\"schema\": \"qplace.bench.v1\", "
-      "\"solver_counters\": {\"lp.pivots\": 768}}");
+      "{\"schema\": \"qplace.bench_history.v1\", \"git_sha\": \"abc1234\", "
+      "\"instance_digest\": \"7eccdd89f4d198dd\", "
+      "\"counters\": {\"lp.pivots\": 768}}");
   const obs::ReportDiff diff =
       obs::diff_run_reports(bench, make_report("{\"lp.pivots\": 768}"));
   EXPECT_TRUE(diff.error.empty());
@@ -711,8 +713,8 @@ TEST(ReportDiff, NullVsNumberHistogramIsSchemaDrift) {
       make_histogram_report(/*empty=*/false));
   EXPECT_TRUE(diff.error.empty());
   ASSERT_EQ(diff.histograms.size(), 1u);
-  EXPECT_TRUE(diff.histograms.front().null_base);
-  EXPECT_FALSE(diff.histograms.front().null_cand);
+  EXPECT_TRUE(diff.histograms.front().base.null);
+  EXPECT_FALSE(diff.histograms.front().cand.null);
   EXPECT_TRUE(diff.histograms.front().schema_drift());
   EXPECT_TRUE(std::isinf(diff.max_deterministic_drift()));
   EXPECT_FALSE(diff.deterministic_ok(1e9));

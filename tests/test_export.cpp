@@ -35,15 +35,5 @@ TEST(PlacementToDot, ValidatesPlacement) {
   EXPECT_THROW(placement_to_dot(g, {5}), std::invalid_argument);
 }
 
-TEST(ToCsv, BasicAndEscaped) {
-  const std::string csv = to_csv({"a", "b"}, {{"1", "x,y"}, {"2", "q\"uote"}});
-  EXPECT_EQ(csv, "a,b\n1,\"x,y\"\n2,\"q\"\"uote\"\n");
-}
-
-TEST(ToCsv, ValidatesShape) {
-  EXPECT_THROW(to_csv({}, {}), std::invalid_argument);
-  EXPECT_THROW(to_csv({"a"}, {{"1", "2"}}), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace qp::report

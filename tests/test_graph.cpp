@@ -79,13 +79,6 @@ TEST(Graph, SingleNodeIsConnected) {
   EXPECT_TRUE(Graph(0).is_connected());
 }
 
-TEST(Graph, TotalEdgeLength) {
-  Graph g(3);
-  g.add_edge(0, 1, 1.25);
-  g.add_edge(1, 2, 2.75);
-  EXPECT_DOUBLE_EQ(g.total_edge_length(), 4.0);
-}
-
 TEST(Graph, DescribeMentionsCounts) {
   Graph g(3);
   g.add_edge(0, 1, 1.0);
@@ -126,7 +119,7 @@ TEST(Dijkstra, UnreachableIsInfinite) {
   g.add_edge(0, 1, 1.0);
   const ShortestPathTree tree = dijkstra(g, 0);
   EXPECT_EQ(tree.distance[2], kUnreachable);
-  EXPECT_TRUE(tree.path_to(2).empty());
+  EXPECT_EQ(tree.parent[2], -1);
 }
 
 TEST(Dijkstra, PathReconstruction) {
@@ -136,7 +129,11 @@ TEST(Dijkstra, PathReconstruction) {
   g.add_edge(2, 3, 1.0);
   g.add_edge(0, 3, 10.0);
   const ShortestPathTree tree = dijkstra(g, 0);
-  EXPECT_EQ(tree.path_to(3), (std::vector<int>{0, 1, 2, 3}));
+  // The parent chain from 3 walks the unit-length path back to the source.
+  EXPECT_EQ(tree.parent[3], 2);
+  EXPECT_EQ(tree.parent[2], 1);
+  EXPECT_EQ(tree.parent[1], 0);
+  EXPECT_EQ(tree.parent[0], -1);
 }
 
 TEST(Dijkstra, RejectsBadSource) {

@@ -73,9 +73,9 @@ TEST(PlacementReport, InvariantOrderingOfDelayNotions) {
 TEST(PlacementReport, ToStringMentionsKeyFields) {
   const QppInstance instance = make_instance();
   const std::string text =
-      evaluate_placement(instance, {0, 1, 2, 3}).to_string();
+      evaluate_placement(instance, {0, 1, 2, 3}).to_string(3.0);
   EXPECT_NE(text.find("avg max-delay"), std::string::npos);
-  EXPECT_NE(text.find("feasible"), std::string::npos);
+  EXPECT_NE(text.find("bound: load <= 3 cap"), std::string::npos);
   EXPECT_NE(text.find("best relay"), std::string::npos);
 }
 

@@ -306,12 +306,12 @@ TEST(ProfileDiff, CounterValueDriftIsDetectedAndLocated) {
   EXPECT_TRUE(diff.deterministic_ok(0.25));
   // The drifted counter is named at its node path.
   bool located = false;
-  for (const obs::ProfileCounterDiff& counter : diff.counters) {
-    if (counter.path == "qpp.relay_sweep" &&
-        counter.counter == "qpp.relay_candidates") {
+  for (const obs::CounterDrift& counter : diff.counters) {
+    if (counter.scope == "qpp.relay_sweep" &&
+        counter.key == "qpp.relay_candidates") {
       located = true;
-      EXPECT_EQ(counter.base, 100u);
-      EXPECT_EQ(counter.cand, 120u);
+      EXPECT_EQ(counter.base, 100.0);
+      EXPECT_EQ(counter.cand, 120.0);
     }
   }
   EXPECT_TRUE(located);
@@ -400,10 +400,10 @@ std::vector<obs::json::Value> pivot_history(
   return entries;
 }
 
-const obs::TrendCounter* find_counter(const obs::TrendAnalysis& trend,
+const obs::CounterDrift* find_counter(const obs::TrendAnalysis& trend,
                                       const std::string& name) {
-  for (const obs::TrendCounter& counter : trend.counters) {
-    if (counter.name == name) return &counter;
+  for (const obs::CounterDrift& counter : trend.counters) {
+    if (counter.key == name) return &counter;
   }
   return nullptr;
 }
@@ -415,13 +415,14 @@ TEST(Trend, SteadyHistoryPassesTheGate) {
   EXPECT_TRUE(trend.gated);
   EXPECT_EQ(trend.entries_total, 3u);
   EXPECT_EQ(trend.baseline_entries, 2u);
-  const obs::TrendCounter* pivots = find_counter(trend, "lp.pivots");
+  const obs::CounterDrift* pivots = find_counter(trend, "lp.pivots");
   ASSERT_NE(pivots, nullptr);
   // Median of {100, 102} is 101 -- exactly the newest value.
-  EXPECT_EQ(pivots->baseline, 101.0);
-  EXPECT_EQ(pivots->latest, 101u);
-  EXPECT_EQ(pivots->regression(), 0.0);
-  EXPECT_EQ(pivots->history, (std::vector<double>{100.0, 102.0}));
+  EXPECT_EQ(pivots->base, 101.0);
+  EXPECT_EQ(pivots->cand, 101.0);
+  EXPECT_EQ(pivots->gated(obs::DriftGate::kIncreasesOnly), 0.0);
+  EXPECT_EQ(trend.history.at("lp.pivots"),
+            (std::vector<double>{100.0, 102.0}));
   EXPECT_TRUE(trend.ok(0.10));
 }
 
@@ -437,10 +438,10 @@ TEST(Trend, RegressionBeyondToleranceGates) {
 TEST(Trend, ImprovementIsNeverGated) {
   const obs::TrendAnalysis trend = obs::analyze_trend(
       pivot_history({100, 100, 60}));
-  const obs::TrendCounter* pivots = find_counter(trend, "lp.pivots");
+  const obs::CounterDrift* pivots = find_counter(trend, "lp.pivots");
   ASSERT_NE(pivots, nullptr);
   EXPECT_LT(pivots->rel_change(), 0.0);
-  EXPECT_EQ(pivots->regression(), 0.0);
+  EXPECT_EQ(pivots->gated(obs::DriftGate::kIncreasesOnly), 0.0);
   EXPECT_TRUE(trend.ok(0.0));
 }
 
@@ -450,10 +451,10 @@ TEST(Trend, VanishedCounterGatesLikeInfiniteDrift) {
   entries.push_back(history_entry("d", {{"a", 100}, {"b", 50}}));
   entries.push_back(history_entry("d", {{"a", 100}}));
   const obs::TrendAnalysis trend = obs::analyze_trend(entries);
-  const obs::TrendCounter* vanished = find_counter(trend, "b");
+  const obs::CounterDrift* vanished = find_counter(trend, "b");
   ASSERT_NE(vanished, nullptr);
-  EXPECT_FALSE(vanished->in_latest);
-  EXPECT_TRUE(std::isinf(vanished->regression()));
+  EXPECT_FALSE(vanished->in_cand);
+  EXPECT_TRUE(std::isinf(vanished->gated(obs::DriftGate::kIncreasesOnly)));
   EXPECT_FALSE(trend.ok(1e9));
 }
 
@@ -463,9 +464,9 @@ TEST(Trend, NewCounterIsReportedButNotGated) {
   entries.push_back(history_entry("d", {{"a", 100}}));
   entries.push_back(history_entry("d", {{"a", 100}, {"b", 7}}));
   const obs::TrendAnalysis trend = obs::analyze_trend(entries);
-  const obs::TrendCounter* fresh = find_counter(trend, "b");
+  const obs::CounterDrift* fresh = find_counter(trend, "b");
   ASSERT_NE(fresh, nullptr);
-  EXPECT_FALSE(fresh->in_baseline);
+  EXPECT_FALSE(fresh->in_base);
   EXPECT_EQ(fresh->rel_change(), 0.0);
   EXPECT_TRUE(trend.ok(0.0));
 }
@@ -500,10 +501,10 @@ TEST(Trend, WindowBoundsTheRollingBaseline) {
   // so the outlier 10 cannot drag the median down.
   const obs::TrendAnalysis trend = obs::analyze_trend(
       pivot_history({10, 100, 100, 100, 130}), options);
-  const obs::TrendCounter* pivots = find_counter(trend, "lp.pivots");
+  const obs::CounterDrift* pivots = find_counter(trend, "lp.pivots");
   ASSERT_NE(pivots, nullptr);
-  EXPECT_EQ(pivots->samples, 2u);
-  EXPECT_EQ(pivots->baseline, 100.0);
+  EXPECT_EQ(trend.history.at("lp.pivots").size(), 2u);
+  EXPECT_EQ(pivots->base, 100.0);
   EXPECT_NEAR(trend.max_regression(), 0.30, 1e-12);
 }
 

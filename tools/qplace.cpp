@@ -29,6 +29,7 @@
 /// --tolerance; wall times reported but never gated) -- the CI
 /// perf-regression gate (docs/OBSERVABILITY.md).
 
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -472,30 +473,124 @@ int cmd_analyze_access_log(const cli::ParsedArgs& args) {
   return analysis.ok() ? 0 : 1;
 }
 
-/// `qplace analyze --diff BASE --against CAND [--tolerance T]`: structured
-/// run-report diff. Deterministic counters/series are gated on T (default
-/// 0), histograms are reported, wall times are labelled nondeterministic
-/// and never gated. Exit 0 = within tolerance, 1 = drift, 2 = not
-/// comparable (schema or instance digest mismatch, unreadable file).
-int cmd_analyze_diff(const cli::ParsedArgs& args) {
-  const std::string base_path = args.get("diff", "");
-  const std::string cand_path = args.require("against");
-  const double tolerance = args.get_double("tolerance", 0.0);
+/// The counter section every work-counter gate prints (--diff,
+/// --profile-diff, --trend; obs::DriftGate names each gate's policy): a
+/// table of the counters (only the drifted ones when `drifted_only`), the
+/// "max drift ... OK/REGRESSION" verdict and, when it fails, one line per
+/// offending counter. `max_drift` is the gate's own maximum, which also
+/// folds in its non-counter findings (series, histograms, profile
+/// structure). Returns whether the gate passed.
+bool print_drift_gate(const std::vector<obs::CounterDrift>& drifts,
+                      obs::DriftGate gate, double max_drift, double tolerance,
+                      bool drifted_only) {
+  const auto cell = [](bool present, double value) {
+    if (!present) return std::string("-");
+    return report::Table::num(value, value == std::floor(value) ? 0 : 1);
+  };
+  const auto label = [](const obs::CounterDrift& d) {
+    return d.scope.empty() ? d.key : d.scope + " : " + d.key;
+  };
+  const bool increases_only = gate == obs::DriftGate::kIncreasesOnly;
+  report::Table table({"counter", increases_only ? "baseline" : "base",
+                       "candidate", "change", "status"});
+  std::size_t drifted = 0;
+  for (const obs::CounterDrift& d : drifts) {
+    const double gated = d.gated(gate);
+    const bool moved = gated != 0.0 || d.rel_change() != 0.0;
+    if (moved) ++drifted;
+    if (!moved && drifted_only) continue;
+    const char* status = gated > tolerance ? "REGRESSION"
+                         : !d.in_cand      ? "vanished"
+                         : !d.in_base      ? "new"
+                         : d.rel_change() < 0.0 ? "improved"
+                                                : "ok";
+    table.add_row({label(d), cell(d.in_base, d.base), cell(d.in_cand, d.cand),
+                   report::Table::num(
+                       d.in_base && d.in_cand ? d.rel_change() : gated, 4),
+                   status});
+  }
+  std::cout << "\ndeterministic counters (gated on "
+            << (increases_only ? "increases" : "|drift|") << ", tolerance "
+            << report::Table::num(tolerance, 4) << "): " << drifted << " of "
+            << drifts.size() << " drifted\n";
+  if (table.num_rows() > 0) table.print(std::cout);
 
-  obs::json::Value base;
-  obs::json::Value cand;
+  const bool ok = max_drift <= tolerance;
+  std::cout << "\nmax deterministic drift: " << report::Table::num(max_drift, 6)
+            << " (tolerance " << report::Table::num(tolerance, 6) << ") -- "
+            << (ok ? "OK" : "REGRESSION") << "\n";
+  for (const obs::CounterDrift& d : drifts) {
+    if (d.gated(gate) <= tolerance) continue;
+    // Name every offender so a failing gate says what regressed, not just
+    // that something did.
+    std::cout << "  counter '" << label(d) << "' drifted "
+              << report::Table::num(d.gated(gate), 6) << " > tolerance "
+              << report::Table::num(tolerance, 6) << " (base "
+              << cell(d.in_base, d.base) << ", candidate "
+              << cell(d.in_cand, d.cand) << ")\n";
+  }
+  return ok;
+}
+
+/// "base/cand" table cell.
+std::string base_cand(double base, double cand, int precision) {
+  return report::Table::num(base, precision) + "/" +
+         report::Table::num(cand, precision);
+}
+
+/// Wall-class table shared by --diff (timers) and --profile-diff (nodes).
+void print_wall_diffs(const std::string& title,
+                      const std::vector<obs::WallDiff>& walls) {
+  if (walls.empty()) return;
+  std::cout << "\n" << title << ":\n";
+  report::Table table({"name", "calls b/c", "ms b/c", "ratio"});
+  for (const obs::WallDiff& entry : walls) {
+    table.add_row(
+        {entry.name.empty() ? "(root)" : entry.name,
+         base_cand(entry.calls_base, entry.calls_cand, 0),
+         base_cand(entry.ms_base, entry.ms_cand, 3),
+         entry.ms_base > 0.0
+             ? report::Table::num(entry.ms_cand / entry.ms_base, 3)
+             : "-"});
+  }
+  table.print(std::cout);
+}
+
+/// The front half of --diff and --profile-diff: diff BASE (the value of
+/// `flag`) against CAND (--against) with `differ` and print the header.
+/// nullopt (exit 2) when a file is unreadable or the documents are not
+/// comparable (schema, instance digest).
+template <typename Differ>
+auto load_and_diff(const cli::ParsedArgs& args, const char* flag,
+                   const char* what, Differ differ)
+    -> std::optional<decltype(differ(obs::json::Value{}, obs::json::Value{}))> {
+  const std::string base_path = args.get(flag, "");
+  const std::string cand_path = args.require("against");
   try {
-    base = load_json_file(base_path);
-    cand = load_json_file(cand_path);
+    auto diff = differ(load_json_file(base_path), load_json_file(cand_path));
+    if (!diff.error.empty()) throw std::runtime_error(diff.error);
+    std::cout << what << " diff: " << base_path << " (base) vs " << cand_path
+              << " (candidate)\n";
+    return diff;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
-    return 2;
+    return std::nullopt;
   }
-  const obs::ReportDiff diff = obs::diff_run_reports(base, cand);
-  if (!diff.error.empty()) {
-    std::cerr << "error: " << diff.error << "\n";
-    return 2;
-  }
+}
+
+/// `qplace analyze --diff BASE --against CAND [--tolerance T]`: structured
+/// run-report diff. BASE may also be one BENCH_history.jsonl line (the
+/// `bench/run_bench.sh --quick` gate). Deterministic counters/series are
+/// gated on T (default 0), histograms are reported, wall times are
+/// labelled nondeterministic and never gated. Exit 0 = within tolerance,
+/// 1 = drift, 2 = not comparable (schema or instance digest mismatch,
+/// unreadable file).
+int cmd_analyze_diff(const cli::ParsedArgs& args) {
+  const double tolerance = args.get_double("tolerance", 0.0);
+  const auto loaded =
+      load_and_diff(args, "diff", "report", obs::diff_run_reports);
+  if (!loaded) return 2;
+  const obs::ReportDiff& diff = *loaded;
   if (diff.obs_off_base || diff.obs_off_cand) {
     std::cerr << "warning: "
               << (diff.obs_off_base && diff.obs_off_cand
@@ -504,18 +599,6 @@ int cmd_analyze_diff(const cli::ParsedArgs& args) {
               << " from a -DQPLACE_OBS=OFF build: counter maps are empty, a "
                  "zero-drift verdict is vacuous\n";
   }
-
-  std::cout << "report diff: " << base_path << " (base) vs " << cand_path
-            << " (candidate)\n\ndeterministic counters (gated, tolerance "
-            << report::Table::num(tolerance, 4) << "):\n";
-  report::Table counters({"counter", "base", "candidate", "drift"});
-  for (const obs::CounterDiff& entry : diff.counters) {
-    counters.add_row(
-        {entry.name, entry.in_base ? std::to_string(entry.base) : "-",
-         entry.in_cand ? std::to_string(entry.cand) : "-",
-         report::Table::num(entry.rel_drift(), 4)});
-  }
-  counters.print(std::cout);
 
   if (!diff.series.empty()) {
     std::cout << "\ndeterministic series (gated, exact equality):\n";
@@ -534,32 +617,15 @@ int cmd_analyze_diff(const cli::ParsedArgs& args) {
     report::Table hists({"histogram", "count b/c", "mean b/c", "p99 b/c"});
     for (const obs::HistogramDiff& entry : diff.histograms) {
       hists.add_row({entry.name,
-                     report::Table::num(entry.count_base, 0) + "/" +
-                         report::Table::num(entry.count_cand, 0),
-                     report::Table::num(entry.mean_base, 4) + "/" +
-                         report::Table::num(entry.mean_cand, 4),
-                     report::Table::num(entry.p99_base, 4) + "/" +
-                         report::Table::num(entry.p99_cand, 4)});
+                     base_cand(entry.base.count, entry.cand.count, 0),
+                     base_cand(entry.base.mean, entry.cand.mean, 4),
+                     base_cand(entry.base.p99, entry.cand.p99, 4)});
     }
     hists.print(std::cout);
   }
 
-  if (!diff.timers.empty()) {
-    std::cout << "\nwall-time timers (NONDETERMINISTIC, never gated):\n";
-    report::Table timers({"timer", "calls b/c", "ms b/c", "ratio"});
-    for (const obs::TimerDiff& entry : diff.timers) {
-      timers.add_row({entry.name,
-                      report::Table::num(entry.calls_base, 0) + "/" +
-                          report::Table::num(entry.calls_cand, 0),
-                      report::Table::num(entry.ms_base, 3) + "/" +
-                          report::Table::num(entry.ms_cand, 3),
-                      entry.ms_base > 0.0
-                          ? report::Table::num(
-                                entry.ms_cand / entry.ms_base, 3)
-                          : "-"});
-    }
-    timers.print(std::cout);
-  }
+  print_wall_diffs("wall-time timers (NONDETERMINISTIC, never gated)",
+                   diff.timers);
 
   if (!diff.resources.empty()) {
     std::cout << "\nprocess resources (NONDETERMINISTIC, never gated):\n";
@@ -575,32 +641,11 @@ int cmd_analyze_diff(const cli::ParsedArgs& args) {
     resources.print(std::cout);
   }
 
-  const double drift = diff.max_deterministic_drift();
-  const bool ok = diff.deterministic_ok(tolerance);
-  std::cout << "\nmax deterministic drift: " << report::Table::num(drift, 6)
-            << " (tolerance " << report::Table::num(tolerance, 6) << ") -- "
-            << (ok ? "OK" : "REGRESSION") << "\n";
-  if (!ok) {
-    // Name every offender so a failing gate says what regressed, not just
-    // that something did.
-    for (const obs::CounterDiff& entry : diff.counters) {
-      if (entry.rel_drift() > tolerance) {
-        std::cout << "  counter '" << entry.name << "' drifted "
-                  << report::Table::num(entry.rel_drift(), 6)
-                  << " > tolerance " << report::Table::num(tolerance, 6)
-                  << " (base " << entry.base << ", candidate " << entry.cand
-                  << ")\n";
-      }
-    }
-    for (const obs::SeriesDiff& entry : diff.series) {
-      if (entry.in_base != entry.in_cand || !entry.equal) {
-        std::cout << "  series '" << entry.name
-                  << (entry.in_base != entry.in_cand
-                          ? "' present in only one report\n"
-                          : "' diverged (gated at exact equality)\n");
-      }
-    }
-  }
+  // A diverged or one-sided series shows as such in the series table and
+  // gates as an infinite drift.
+  const bool ok =
+      print_drift_gate(diff.counters, obs::DriftGate::kBothWays,
+                       diff.max_deterministic_drift(), tolerance, false);
   return ok ? 0 : 1;
 }
 
@@ -611,29 +656,13 @@ int cmd_analyze_diff(const cli::ParsedArgs& args) {
 /// gated only when --wall-tolerance is passed. Exit 0 = within tolerance,
 /// 1 = drift, 2 = not comparable.
 int cmd_analyze_profile_diff(const cli::ParsedArgs& args) {
-  const std::string base_path = args.get("profile-diff", "");
-  const std::string cand_path = args.require("against");
   const double tolerance = args.get_double("tolerance", 0.0);
   const bool wall_gated = !args.get("wall-tolerance", "").empty();
   const double wall_tolerance = args.get_double("wall-tolerance", 0.0);
-
-  obs::json::Value base;
-  obs::json::Value cand;
-  try {
-    base = load_json_file(base_path);
-    cand = load_json_file(cand_path);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
-  const obs::ProfileDiff diff = obs::diff_profiles(base, cand);
-  if (!diff.error.empty()) {
-    std::cerr << "error: " << diff.error << "\n";
-    return 2;
-  }
-
-  std::cout << "profile diff: " << base_path << " (base) vs " << cand_path
-            << " (candidate)\n";
+  const auto loaded =
+      load_and_diff(args, "profile-diff", "profile", obs::diff_profiles);
+  if (!loaded) return 2;
+  const obs::ProfileDiff& diff = *loaded;
 
   if (!diff.structure.empty()) {
     std::cout << "\nstructural drift (node paths on one side only -- gated "
@@ -646,49 +675,15 @@ int cmd_analyze_profile_diff(const cli::ParsedArgs& args) {
     structure.print(std::cout);
   }
 
-  std::size_t drifted = 0;
-  report::Table counters({"path", "counter", "base", "candidate", "drift"});
-  for (const obs::ProfileCounterDiff& entry : diff.counters) {
-    if (entry.rel_drift() == 0.0) continue;
-    ++drifted;
-    counters.add_row(
-        {entry.path.empty() ? "(root)" : entry.path, entry.counter,
-         entry.in_base ? std::to_string(entry.base) : "-",
-         entry.in_cand ? std::to_string(entry.cand) : "-",
-         report::Table::num(entry.rel_drift(), 4)});
-  }
-  std::cout << "\ndeterministic per-node counters (gated, tolerance "
-            << report::Table::num(tolerance, 4) << "): " << drifted << " of "
-            << diff.counters.size() << " attributions drifted\n";
-  if (drifted > 0) counters.print(std::cout);
+  print_wall_diffs("per-node wall time (NONDETERMINISTIC, " +
+                       (wall_gated ? "gated, tolerance " +
+                                         report::Table::num(wall_tolerance, 4)
+                                   : std::string("never gated")) +
+                       ")",
+                   diff.walls);
 
-  if (!diff.walls.empty()) {
-    std::cout << "\nper-node wall time (NONDETERMINISTIC, "
-              << (wall_gated ? "gated, tolerance " +
-                                   report::Table::num(wall_tolerance, 4)
-                             : std::string("never gated"))
-              << "):\n";
-    report::Table walls({"path", "calls b/c", "total ms b/c", "ratio"});
-    for (const obs::ProfileWallDiff& entry : diff.walls) {
-      walls.add_row({entry.path.empty() ? "(root)" : entry.path,
-                     report::Table::num(entry.calls_base, 0) + "/" +
-                         report::Table::num(entry.calls_cand, 0),
-                     report::Table::num(entry.total_ms_base, 3) + "/" +
-                         report::Table::num(entry.total_ms_cand, 3),
-                     entry.total_ms_base > 0.0
-                         ? report::Table::num(
-                               entry.total_ms_cand / entry.total_ms_base, 3)
-                         : "-"});
-    }
-    walls.print(std::cout);
-  }
-
-  const double drift = diff.max_deterministic_drift();
-  bool ok = diff.deterministic_ok(tolerance);
-  std::cout << "\nmax deterministic drift: " << report::Table::num(drift, 6)
-            << " (tolerance " << report::Table::num(tolerance, 6) << ") -- "
-            << (diff.deterministic_ok(tolerance) ? "OK" : "REGRESSION")
-            << "\n";
+  bool ok = print_drift_gate(diff.counters, obs::DriftGate::kBothWays,
+                             diff.max_deterministic_drift(), tolerance, true);
   if (wall_gated) {
     const double wall_drift = diff.max_wall_drift();
     const bool wall_ok = wall_drift <= wall_tolerance;
@@ -745,44 +740,17 @@ int cmd_analyze_trend(const cli::ParsedArgs& args) {
 
   std::cout << "bench trend: " << path << " (" << trend.entries_total
             << " lines, " << trend.baseline_entries
-            << " baseline entries in window, " << trend.entries_skipped
-            << " skipped)\nlatest entry: git_sha " << trend.latest_git_sha
-            << ", instance " << trend.instance_digest << "\n\n";
-
-  report::Table table(
-      {"counter", "baseline (median)", "latest", "change", "status"});
-  for (const obs::TrendCounter& entry : trend.counters) {
-    const double change = entry.rel_change();
-    std::string status;
-    if (!entry.in_latest) {
-      status = "VANISHED";
-    } else if (!entry.in_baseline) {
-      status = "new";
-    } else if (entry.regression() > options.tolerance) {
-      status = "REGRESSION";
-    } else if (change < 0.0) {
-      status = "improved";
-    } else {
-      status = "ok";
-    }
-    table.add_row(
-        {entry.name,
-         entry.in_baseline ? report::Table::num(entry.baseline, 1) : "-",
-         entry.in_latest ? std::to_string(entry.latest) : "-",
-         report::Table::num(change, 4), status});
-  }
-  table.print(std::cout);
-
+            << " baseline entries in window " << window << ", "
+            << trend.entries_skipped << " skipped)\nlatest entry: git_sha "
+            << trend.latest_git_sha << ", instance " << trend.instance_digest
+            << "; baseline = window median\n";
   if (!trend.gated) {
-    std::cout << "\nno baseline yet (" << trend.baseline_entries
+    std::cout << "no baseline yet (" << trend.baseline_entries
               << " comparable prior entries) -- nothing gated\n";
-    return 0;
   }
-  const bool ok = trend.ok(options.tolerance);
-  std::cout << "\nmax regression: "
-            << report::Table::num(trend.max_regression(), 6) << " (tolerance "
-            << report::Table::num(options.tolerance, 6) << ", window "
-            << window << ") -- " << (ok ? "OK" : "REGRESSION") << "\n";
+  const bool ok =
+      print_drift_gate(trend.counters, obs::DriftGate::kIncreasesOnly,
+                       trend.max_regression(), options.tolerance, false);
   return ok ? 0 : 1;
 }
 
@@ -890,6 +858,15 @@ int cmd_solve(const cli::ParsedArgs& args) {
   const std::string algorithm = args.get("algorithm", "qpp");
   core::Placement placement;
   std::string detail;
+  // The load each algorithm guarantees, as a multiple of cap(v) (the bound
+  // `qplace check` certifies): (alpha+1) for the Thm 1.2 / 3.7 bicriteria
+  // LP rounding, 2 for Thm 5.1, 1 for the capacity-respecting layouts.
+  double load_bound = 1.0;
+  if (algorithm == "qpp" || algorithm == "ssqpp") {
+    load_bound = args.get_double("alpha", 2.0) + 1.0;
+  } else if (algorithm == "total") {
+    load_bound = 2.0;
+  }
   if (algorithm == "qpp") {
     core::QppSolveOptions options;
     options.alpha = args.get_double("alpha", 2.0);
@@ -946,7 +923,8 @@ int cmd_solve(const cli::ParsedArgs& args) {
   }
 
   std::cout << "algorithm: " << algorithm << " (" << detail << ")\n"
-            << core::evaluate_placement(instance, placement).to_string();
+            << core::evaluate_placement(instance, placement)
+                   .to_string(load_bound);
   std::cout << "placement:";
   for (std::size_t u = 0; u < placement.size(); ++u) {
     std::cout << " u" << u << "->n" << placement[u];
