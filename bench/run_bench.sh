@@ -19,8 +19,10 @@
 # instrumented solve and diffs its counters against the newest history line
 # with `qplace analyze --diff`; exits non-zero when a work counter
 # (lp.pivots, graph.heap_pops, exec.chunks, ...) drifted beyond the
-# tolerance in either direction (QPLACE_BENCH_TOLERANCE, default 0.10).
-# Does NOT rewrite the baseline; run --history for that.
+# tolerance in either direction (QPLACE_BENCH_TOLERANCE, default 0.10),
+# and exits 2 when the newest line is not comparable at all (its
+# instance_digest differs from the solve's). Does NOT rewrite the baseline;
+# run --history for that.
 #
 # --history: appends one line for the current build. `qplace analyze
 # --trend BENCH_history.jsonl` then reports the per-counter trajectory
@@ -71,8 +73,17 @@ if [[ "$mode" == quick ]]; then
   tolerance="${QPLACE_BENCH_TOLERANCE:-0.10}"
   echo "== quick perf-regression gate (tolerance $tolerance)"
   tail -n 1 "$history_json" > "$work_dir/baseline.json"
-  if ! "$qplace_bin" analyze --diff "$work_dir/baseline.json" \
-      --against "$fresh" --tolerance "$tolerance"; then
+  status=0
+  "$qplace_bin" analyze --diff "$work_dir/baseline.json" \
+    --against "$fresh" --tolerance "$tolerance" || status=$?
+  if [[ "$status" -eq 2 ]]; then
+    # Not comparable (instance digest or schema differs, or a file is
+    # unreadable): no counter was compared, so no tolerance applies.
+    echo "error: the newest history line is not comparable with this" \
+         "solve (see the error above); no counter was compared" >&2
+    exit 2
+  fi
+  if [[ "$status" -ne 0 ]]; then
     # The diff names each offending counter above; say how to widen the
     # gate vs. re-baseline so the failure is actionable in CI logs.
     echo "error: deterministic work counters drifted beyond tolerance" \

@@ -25,6 +25,13 @@ namespace {
 /// Dense two-phase tableau. Row-major matrix `a` of size rows x cols, the
 /// right-hand side `b`, and two running cost rows (phase 1 and phase 2),
 /// each of length cols + 1 with the final entry holding -objective.
+///
+/// The storage is dense but the pivot is sparse: a pivot touches only the
+/// rows whose pivot-column entry is nonzero and, within them, only the
+/// columns where the scaled pivot row is nonzero. Every skipped operation
+/// (0 * inverse, or x - f * 0) changes at most the sign of a zero, and no
+/// comparison, divisor or output can see that sign; so pivots and results
+/// are bit-identical to a full-width elimination.
 class Tableau {
  public:
   Tableau(const Model& model, const SimplexOptions& options)
@@ -74,35 +81,24 @@ class Tableau {
   }
 
  private:
-  double& at(int row, int col) {
-    return a_[static_cast<std::size_t>(row) * static_cast<std::size_t>(cols_) +
-              static_cast<std::size_t>(col)];
+  double* row(int i) {
+    return &a_[static_cast<std::size_t>(i) * static_cast<std::size_t>(cols_)];
   }
-  double at(int row, int col) const {
-    return a_[static_cast<std::size_t>(row) * static_cast<std::size_t>(cols_) +
-              static_cast<std::size_t>(col)];
-  }
+  double& at(int i, int col) { return row(i)[col]; }
 
   void build(const Model& model) {
     const auto& constraints = model.constraints();
-    // Aggregate each row into a dense vector over structural variables and
-    // normalize to rhs >= 0.
-    std::vector<std::vector<double>> dense(static_cast<std::size_t>(rows_));
+    // Normalize every row to rhs >= 0 (flipping the relation when the row
+    // is negated) and size the slack and artificial blocks.
     std::vector<Relation> relation(static_cast<std::size_t>(rows_));
     b_.assign(static_cast<std::size_t>(rows_), 0.0);
     int num_slack = 0;
     num_artificial_ = 0;
     for (int i = 0; i < rows_; ++i) {
       const Constraint& c = constraints[static_cast<std::size_t>(i)];
-      auto& row = dense[static_cast<std::size_t>(i)];
-      row.assign(static_cast<std::size_t>(num_structural_), 0.0);
-      for (const auto& [var, coeff] : c.terms) {
-        row[static_cast<std::size_t>(var)] += coeff;
-      }
       double rhs = c.rhs;
       Relation rel = c.relation;
       if (rhs < 0.0) {
-        for (double& x : row) x = -x;
         rhs = -rhs;
         if (rel == Relation::kLessEqual) {
           rel = Relation::kGreaterEqual;
@@ -122,27 +118,34 @@ class Tableau {
     a_.assign(static_cast<std::size_t>(rows_) * static_cast<std::size_t>(cols_),
               0.0);
     basis_.assign(static_cast<std::size_t>(rows_), -1);
+    pivot_cols_.resize(static_cast<std::size_t>(cols_));
+    pivot_values_.resize(static_cast<std::size_t>(cols_));
+    column_rows_.reserve(static_cast<std::size_t>(rows_));
 
     int next_slack = num_structural_;
     int next_artificial = first_artificial_;
     for (int i = 0; i < rows_; ++i) {
-      const auto& row = dense[static_cast<std::size_t>(i)];
-      for (int j = 0; j < num_structural_; ++j) {
-        at(i, j) = row[static_cast<std::size_t>(j)];
+      // Terms may repeat a variable: sum them in order into the zeroed row,
+      // then negate the structural block of a row normalized above.
+      const Constraint& c = constraints[static_cast<std::size_t>(i)];
+      double* r = row(i);
+      for (const auto& [var, coeff] : c.terms) r[var] += coeff;
+      if (c.rhs < 0.0) {
+        for (int j = 0; j < num_structural_; ++j) r[j] = -r[j];
       }
       switch (relation[static_cast<std::size_t>(i)]) {
         case Relation::kLessEqual:
-          at(i, next_slack) = 1.0;
+          r[next_slack] = 1.0;
           basis_[static_cast<std::size_t>(i)] = next_slack++;
           break;
         case Relation::kGreaterEqual:
-          at(i, next_slack) = -1.0;
+          r[next_slack] = -1.0;
           ++next_slack;
-          at(i, next_artificial) = 1.0;
+          r[next_artificial] = 1.0;
           basis_[static_cast<std::size_t>(i)] = next_artificial++;
           break;
         case Relation::kEqual:
-          at(i, next_artificial) = 1.0;
+          r[next_artificial] = 1.0;
           basis_[static_cast<std::size_t>(i)] = next_artificial++;
           break;
       }
@@ -163,8 +166,9 @@ class Tableau {
     }
     for (int i = 0; i < rows_; ++i) {
       if (basis_[static_cast<std::size_t>(i)] >= first_artificial_) {
+        const double* r = row(i);
         for (int j = 0; j < cols_; ++j) {
-          cost1_[static_cast<std::size_t>(j)] -= at(i, j);
+          cost1_[static_cast<std::size_t>(j)] -= r[j];
         }
         cost1_[static_cast<std::size_t>(cols_)] -=
             b_[static_cast<std::size_t>(i)];
@@ -172,25 +176,41 @@ class Tableau {
     }
   }
 
-  /// Pivots on (pivot_row, pivot_col), updating both cost rows.
+  /// Pivots on (pivot_row, pivot_col), updating both cost rows. Expects
+  /// column_rows_ to list, in increasing order, every row whose pivot_col
+  /// entry is nonzero (pivot_row among them); no other row changes.
   void pivot(int pivot_row, int pivot_col) {
-    const double pivot_value = at(pivot_row, pivot_col);
-    const double inverse = 1.0 / pivot_value;
-    for (int j = 0; j < cols_; ++j) at(pivot_row, j) *= inverse;
-    at(pivot_row, pivot_col) = 1.0;  // exact
+    double* pivot_data = row(pivot_row);
+    const double inverse = 1.0 / pivot_data[pivot_col];
+    // Scale the pivot row and gather its nonzeros in one pass. Zeros are
+    // left as they are: scaling one could only flip its sign.
+    std::size_t nonzeros = 0;
+    for (int j = 0; j < cols_; ++j) {
+      if (pivot_data[j] == 0.0) continue;
+      const double x = pivot_data[j] * inverse;
+      pivot_data[j] = x;
+      pivot_cols_[nonzeros] = j;
+      pivot_values_[nonzeros] = x;
+      ++nonzeros;
+    }
+    // Exact; the gathered copy may keep the rounded value, since every
+    // elimination overwrites the pivot column with an exact zero.
+    pivot_data[pivot_col] = 1.0;
     b_[static_cast<std::size_t>(pivot_row)] *= inverse;
-
     const double pivot_rhs = b_[static_cast<std::size_t>(pivot_row)];
-    double* pivot_row_data =
-        &a_[static_cast<std::size_t>(pivot_row) * static_cast<std::size_t>(cols_)];
-    for (int i = 0; i < rows_; ++i) {
+
+    // Subtracts factor x (scaled pivot row) from `target` over the nonzeros.
+    const auto eliminate = [&](double* target, double factor) {
+      for (std::size_t k = 0; k < nonzeros; ++k) {
+        target[pivot_cols_[k]] -= factor * pivot_values_[k];
+      }
+      target[pivot_col] = 0.0;  // exact
+    };
+    for (int i : column_rows_) {
       if (i == pivot_row) continue;
-      const double factor = at(i, pivot_col);
-      if (factor == 0.0) continue;
-      double* row_data =
-          &a_[static_cast<std::size_t>(i) * static_cast<std::size_t>(cols_)];
-      for (int j = 0; j < cols_; ++j) row_data[j] -= factor * pivot_row_data[j];
-      row_data[pivot_col] = 0.0;  // exact
+      double* r = row(i);
+      const double factor = r[pivot_col];
+      eliminate(r, factor);
       b_[static_cast<std::size_t>(i)] -= factor * pivot_rhs;
       if (std::abs(b_[static_cast<std::size_t>(i)]) < options_.epsilon) {
         b_[static_cast<std::size_t>(i)] = 0.0;
@@ -199,10 +219,7 @@ class Tableau {
     for (std::vector<double>* cost : {&cost1_, &cost2_}) {
       const double factor = (*cost)[static_cast<std::size_t>(pivot_col)];
       if (factor == 0.0) continue;
-      for (int j = 0; j < cols_; ++j) {
-        (*cost)[static_cast<std::size_t>(j)] -= factor * pivot_row_data[j];
-      }
-      (*cost)[static_cast<std::size_t>(pivot_col)] = 0.0;
+      eliminate(cost->data(), factor);
       (*cost)[static_cast<std::size_t>(cols_)] -= factor * pivot_rhs;
     }
     basis_[static_cast<std::size_t>(pivot_row)] = pivot_col;
@@ -240,11 +257,15 @@ class Tableau {
       }
       if (entering < 0) return SolveStatus::kOptimal;
 
-      // Ratio test (ties broken by smallest basis index, Bland-compatible).
+      // Ratio test (ties broken by smallest basis index, Bland-compatible),
+      // gathering the rows the pivot will eliminate on the same pass.
       int leaving = -1;
       double best_ratio = 0.0;
+      column_rows_.clear();
       for (int i = 0; i < rows_; ++i) {
         const double coeff = at(i, entering);
+        if (coeff == 0.0) continue;
+        column_rows_.push_back(i);
         if (coeff > options_.epsilon) {
           const double ratio = b_[static_cast<std::size_t>(i)] / coeff;
           if (leaving < 0 || ratio < best_ratio - options_.epsilon ||
@@ -287,7 +308,12 @@ class Tableau {
           break;
         }
       }
-      if (pivot_col >= 0) pivot(i, pivot_col);
+      if (pivot_col < 0) continue;
+      column_rows_.clear();
+      for (int r = 0; r < rows_; ++r) {
+        if (at(r, pivot_col) != 0.0) column_rows_.push_back(r);
+      }
+      pivot(i, pivot_col);
     }
   }
 
@@ -304,6 +330,11 @@ class Tableau {
   std::vector<double> cost1_;
   std::vector<double> cost2_;
   std::vector<int> basis_;
+  /// Rows with a nonzero entry in the entering column (pivot() input).
+  std::vector<int> column_rows_;
+  /// Nonzero columns of the scaled pivot row and their values.
+  std::vector<int> pivot_cols_;
+  std::vector<double> pivot_values_;
 };
 
 }  // namespace

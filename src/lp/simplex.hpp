@@ -3,8 +3,12 @@
 /// \file simplex.hpp
 /// Two-phase dense tableau simplex for qp::lp::Model. Designed for the
 /// moderate LP sizes arising from the paper's formulations (up to a few
-/// thousand rows); robustness over raw speed: Dantzig pricing with a Bland
-/// anti-cycling fallback, centralized tolerances.
+/// thousand rows): Dantzig pricing with a Bland anti-cycling fallback,
+/// centralized tolerances. The tableau is stored dense but pivoted sparse:
+/// a pivot updates only the rows with a nonzero entry in the entering
+/// column, and in each of them only the pivot row's nonzero columns. The
+/// skipped updates could only flip the sign of a zero, so pivots and
+/// results are bit-identical to a full-width elimination.
 
 #include <cstdint>
 #include <string>

@@ -344,21 +344,26 @@ FaultSchedule random_fault_schedule(int num_nodes, double duration,
   std::vector<PartitionWindow> partitions;
   std::vector<GrayWindow> gray;
 
-  std::poisson_distribution<int> crash_count(options.crash_rate);
-  for (int node = 0; node < num_nodes; ++node) {
-    const int count = options.crash_rate > 0.0 ? crash_count(rng) : 0;
-    for (int i = 0; i < count; ++i) {
-      CrashWindow w;
-      w.node = node;
-      w.from = when(rng);
-      w.until = truncated(w.from, options.mean_downtime);
-      crashes.push_back(w);
+  // A Poisson distribution needs a positive mean, so a zero rate draws
+  // nothing and builds no distribution (building one consumes no draws).
+  if (options.crash_rate > 0.0) {
+    std::poisson_distribution<int> crash_count(options.crash_rate);
+    for (int node = 0; node < num_nodes; ++node) {
+      const int count = crash_count(rng);
+      for (int i = 0; i < count; ++i) {
+        CrashWindow w;
+        w.node = node;
+        w.from = when(rng);
+        w.until = truncated(w.from, options.mean_downtime);
+        crashes.push_back(w);
+      }
     }
   }
 
-  std::poisson_distribution<int> partition_count(options.partition_rate);
   const int partitions_drawn =
-      options.partition_rate > 0.0 ? partition_count(rng) : 0;
+      options.partition_rate > 0.0
+          ? std::poisson_distribution<int>(options.partition_rate)(rng)
+          : 0;
   for (int i = 0; i < partitions_drawn && num_nodes >= 2; ++i) {
     // A random non-trivial cut of a seeded shuffle.
     std::vector<int> order(static_cast<std::size_t>(num_nodes));
@@ -376,16 +381,18 @@ FaultSchedule random_fault_schedule(int num_nodes, double duration,
     partitions.push_back(std::move(w));
   }
 
-  std::poisson_distribution<int> gray_count(options.gray_rate);
-  for (int node = 0; node < num_nodes; ++node) {
-    const int count = options.gray_rate > 0.0 ? gray_count(rng) : 0;
-    for (int i = 0; i < count; ++i) {
-      GrayWindow w;
-      w.node = node;
-      w.from = when(rng);
-      w.until = truncated(w.from, options.mean_gray_duration);
-      w.factor = options.gray_factor;
-      gray.push_back(w);
+  if (options.gray_rate > 0.0) {
+    std::poisson_distribution<int> gray_count(options.gray_rate);
+    for (int node = 0; node < num_nodes; ++node) {
+      const int count = gray_count(rng);
+      for (int i = 0; i < count; ++i) {
+        GrayWindow w;
+        w.node = node;
+        w.from = when(rng);
+        w.until = truncated(w.from, options.mean_gray_duration);
+        w.factor = options.gray_factor;
+        gray.push_back(w);
+      }
     }
   }
 

@@ -120,6 +120,26 @@ TEST(Simplex, DuplicateTermsAreSummed) {
   EXPECT_NEAR(s.values[0], 2.0, 1e-9);
 }
 
+TEST(Simplex, NegatedRowsSumDuplicateTerms) {
+  // max x + y s.t. -x - y - 2x >= -6 (3x + y <= 6), y <= 3, and
+  // -x - x <= -1 (2x >= 1, which needs a phase-1 artificial). Both
+  // negative-rhs rows repeat x: the solver must sum the repeats, then negate
+  // the summed row once. Optimum (1, 3); summing or negating wrongly moves
+  // it or makes the LP unbounded.
+  Model m;
+  const int x = m.add_variable(-1.0);
+  const int y = m.add_variable(-1.0);
+  m.add_constraint({{x, -1.0}, {y, -1.0}, {x, -2.0}}, Relation::kGreaterEqual,
+                   -6.0);
+  m.add_constraint({{y, 1.0}}, Relation::kLessEqual, 3.0);
+  m.add_constraint({{x, -1.0}, {x, -1.0}}, Relation::kLessEqual, -1.0);
+  const Solution s = solve(m);
+  ASSERT_EQ(s.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(s.objective, -4.0, 1e-9);
+  EXPECT_NEAR(s.values[0], 1.0, 1e-9);
+  EXPECT_NEAR(s.values[1], 3.0, 1e-9);
+}
+
 TEST(Simplex, NoConstraintsOptimalAtZero) {
   Model m;
   m.add_variable(5.0);
