@@ -7,16 +7,29 @@
 /// that produced them.
 ///
 /// The certified chains (beta = alpha / (alpha - 1)):
-///  - Thm 3.7 (SSQPP): re-solve LP (9)-(14) to get Z*; then
-///        Delta_f(v0) <= beta * Z*        and   Z* <= OPT_ssqpp,
+///  - Thm 3.7 (SSQPP): a lower bound z <= Z* on LP (9)-(14)'s optimum, then
+///        Delta_f(v0) <= beta * z          and   z <= Z* <= OPT_ssqpp,
 ///        load_f(v)   <= (alpha+1) cap(v).
-///  - Thm 1.2 (QPP): with L = min_v0 [ Avg_v d(v, v0) + Z*(v0) ], the relay
+///  - Thm 1.2 (QPP): with L = min_v0 [ Avg_v d(v, v0) + z(v0) ], the relay
 ///    lemma (Lemma 3.1) gives L <= 5 OPT, so L / 5 is a certified lower
 ///    bound on OPT and the checks
 ///        Avg_v Delta_f(v) <= beta * L    and   load <= (alpha+1) cap
-///    machine-verify the 5 beta approximation. Deriving L solves one LP per
-///    node; CertificateOptions::derive_opt_lower_bound turns it off for
-///    large instances (the per-source Thm 3.7 chain is still checked).
+///    machine-verify the 5 beta approximation. Deriving L needs a bound at
+///    every node; CertificateOptions::derive_opt_lower_bound turns it off
+///    (the Thm 3.7 chain at the chosen relay is still checked).
+///
+/// Every z comes from weak duality (lp::dual_bound via
+/// core::ssqpp_dual_bound): the LP is rebuilt and the dual witness y is
+/// checked in O(nnz) -- wrong-sign entries zeroed, r = c - A^T y, then
+/// b.y + sum_j min(0, r_j) (every variable is <= 1 by (10)/(11)) minus a
+/// stated rounding margin. The bound holds for any y, so it does not rest
+/// on the simplex's claim of optimality. The witness is the result's own
+/// (SsqppResult::lp_duals, QppResult::relay_duals); a node without one has
+/// its LP solved once, on the thread pool, for its duals. A malformed
+/// witness (wrong length, non-finite entry) fails a named row
+/// ("lp/witness-shape", "lp/re-derivable", "lp/dual-verified"). A node the
+/// simplex reports LP-infeasible is skipped in L on the solver's word: no
+/// Farkas ray is checked.
 ///  - Thm 5.1 (total delay): re-derive the GAP LP optimum G; then
 ///        Avg_v Gamma_f(v) <= G <= OPT   and   load_f(v) <= 2 cap(v).
 ///  - Eq. (19) (Majority, Thm 1.3): the measured Delta_f(v0) equals the
@@ -65,7 +78,8 @@ struct CertificateOptions {
   double alpha = 2.0;
   /// Absolute + relative slack for floating-point comparisons.
   double tolerance = 1e-6;
-  /// Thm 1.2 only: derive the OPT lower bound L / 5 (one LP per node).
+  /// Thm 1.2 only: derive the OPT lower bound L / 5 (one dual bound per
+  /// node; an LP solve per node only where the result has no witness).
   bool derive_opt_lower_bound = true;
   lp::SimplexOptions simplex;
 };

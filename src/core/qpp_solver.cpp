@@ -1,6 +1,8 @@
 #include "core/qpp_solver.hpp"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "check/contracts.hpp"
 #include "check/validate.hpp"
@@ -67,9 +69,13 @@ std::optional<QppResult> solve_qpp(const QppInstance& instance,
 
   std::optional<QppResult> best;
   double best_lp_bound = 0.0;
+  std::vector<std::vector<double>> relay_duals(
+      static_cast<std::size_t>(instance.num_nodes()));
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const std::optional<SsqppResult>& single = outcomes[i].single;
+    std::optional<SsqppResult>& single = outcomes[i].single;
     if (!single) continue;
+    relay_duals[static_cast<std::size_t>(candidates[i])] =
+        std::move(single->lp_duals);
     // Counted in the sequential winner-selection loop (never inside the
     // parallel sweep callback) so the tally order is fixed.
     QP_COUNTER_ADD("qpp.relay_feasible", 1);
@@ -86,7 +92,10 @@ std::optional<QppResult> solve_qpp(const QppInstance& instance,
       best = std::move(result);
     }
   }
-  if (best) best->best_lp_bound = best_lp_bound;
+  if (best) {
+    best->best_lp_bound = best_lp_bound;
+    best->relay_duals = std::move(relay_duals);
+  }
   QP_INVARIANT(
       !best || check::validate_placement(instance, best->placement,
                                          {options.alpha + 1.0, 1e-6})

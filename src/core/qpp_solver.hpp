@@ -21,6 +21,12 @@ struct QppResult {
   double load_violation = 0.0;   ///< max_v load_f(v)/cap(v); bound: alpha + 1
   double best_lp_bound = 0.0;    ///< max over tried v0 of Z*(v0): each Z*(v0)
                                  ///< lower-bounds Delta_{f*}(v0) for that v0
+  /// relay_duals[v0] = the duals of LP (9)-(14) at v0 from the relay sweep
+  /// (SsqppResult::lp_duals): the witnesses the Thm 1.2 certificate checks
+  /// instead of re-solving. One entry per node; an entry is empty where v0
+  /// was not tried or gave no placement, and the whole vector is empty for
+  /// a result built by hand.
+  std::vector<std::vector<double>> relay_duals;
 };
 
 struct QppSolveOptions {

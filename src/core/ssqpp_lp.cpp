@@ -40,40 +40,35 @@ double FractionalSsqpp::quorum_distance(int q) const {
   return dq;
 }
 
-FractionalSsqpp solve_ssqpp_lp(const SsqppInstance& instance,
-                               const lp::SimplexOptions& options) {
+SsqppLp build_ssqpp_lp(const SsqppInstance& instance) {
   const int n = instance.num_nodes();
   const int num_elements = instance.system().universe_size();
   const int num_quorums = instance.system().num_quorums();
   const std::vector<double>& loads = instance.element_loads();
 
-  FractionalSsqpp out;
-  out.num_nodes = n;
-  out.universe_size = num_elements;
-  out.num_quorums = num_quorums;
+  SsqppLp out;
   out.node_order = instance.metric().nodes_by_distance_from(instance.source());
   out.sorted_distance.resize(static_cast<std::size_t>(n));
   for (int t = 0; t < n; ++t) {
     out.sorted_distance[static_cast<std::size_t>(t)] = instance.metric()(
         instance.source(), out.node_order[static_cast<std::size_t>(t)]);
   }
-  out.quorum_probability = instance.strategy().probabilities();
 
-  lp::Model model;
+  lp::Model& model = out.model;
   // Variable ids; -1 marks variables fixed to zero by constraint (13).
-  std::vector<int> var_tu(
+  out.var_tu.assign(
       static_cast<std::size_t>(n) * static_cast<std::size_t>(num_elements), -1);
-  std::vector<int> var_tq(
+  out.var_tq.assign(
       static_cast<std::size_t>(n) * static_cast<std::size_t>(num_quorums), -1);
   const auto tu = [&](int t, int u) -> int& {
-    return var_tu[static_cast<std::size_t>(t) *
-                      static_cast<std::size_t>(num_elements) +
-                  static_cast<std::size_t>(u)];
+    return out.var_tu[static_cast<std::size_t>(t) *
+                          static_cast<std::size_t>(num_elements) +
+                      static_cast<std::size_t>(u)];
   };
   const auto tq = [&](int t, int q) -> int& {
-    return var_tq[static_cast<std::size_t>(t) *
-                      static_cast<std::size_t>(num_quorums) +
-                  static_cast<std::size_t>(q)];
+    return out.var_tq[static_cast<std::size_t>(t) *
+                          static_cast<std::size_t>(num_quorums) +
+                      static_cast<std::size_t>(q)];
   };
   for (int t = 0; t < n; ++t) {
     const double cap =
@@ -98,7 +93,7 @@ FractionalSsqpp solve_ssqpp_lp(const SsqppInstance& instance,
       if (tu(t, u) >= 0) terms.emplace_back(tu(t, u), 1.0);
     }
     if (terms.empty()) {
-      out.status = lp::SolveStatus::kInfeasible;  // element fits nowhere
+      out.feasible = false;  // element fits nowhere
       return out;
     }
     model.add_constraint(std::move(terms), lp::Relation::kEqual, 1.0);
@@ -140,25 +135,52 @@ FractionalSsqpp solve_ssqpp_lp(const SsqppInstance& instance,
   QP_COUNTER_ADD("ssqpp_lp.models", 1);
   QP_COUNTER_ADD("ssqpp_lp.variables", model.num_variables());
   QP_COUNTER_ADD("ssqpp_lp.constraints", model.num_constraints());
-  const lp::Solution solution = lp::solve(model, options);
+  return out;
+}
+
+FractionalSsqpp solve_ssqpp_lp(const SsqppInstance& instance,
+                               const lp::SimplexOptions& options) {
+  SsqppLp built = build_ssqpp_lp(instance);
+  FractionalSsqpp out;
+  out.num_nodes = instance.num_nodes();
+  out.universe_size = instance.system().universe_size();
+  out.num_quorums = instance.system().num_quorums();
+  out.node_order = std::move(built.node_order);
+  out.sorted_distance = std::move(built.sorted_distance);
+  out.quorum_probability = instance.strategy().probabilities();
+  if (!built.feasible) {
+    out.status = lp::SolveStatus::kInfeasible;
+    return out;
+  }
+
+  lp::Solution solution = lp::solve(built.model, options);
   out.status = solution.status;
   if (solution.status != lp::SolveStatus::kOptimal) return out;
   out.objective = solution.objective;
-  out.x_tu.assign(var_tu.size(), 0.0);
-  out.x_tq.assign(var_tq.size(), 0.0);
-  for (std::size_t i = 0; i < var_tu.size(); ++i) {
-    if (var_tu[i] >= 0) {
-      out.x_tu[i] =
-          std::max(0.0, solution.values[static_cast<std::size_t>(var_tu[i])]);
+  out.duals = std::move(solution.duals);
+  out.x_tu.assign(built.var_tu.size(), 0.0);
+  out.x_tq.assign(built.var_tq.size(), 0.0);
+  for (std::size_t i = 0; i < built.var_tu.size(); ++i) {
+    if (built.var_tu[i] >= 0) {
+      out.x_tu[i] = std::max(
+          0.0, solution.values[static_cast<std::size_t>(built.var_tu[i])]);
     }
   }
-  for (std::size_t i = 0; i < var_tq.size(); ++i) {
-    out.x_tq[i] =
-        std::max(0.0, solution.values[static_cast<std::size_t>(var_tq[i])]);
+  for (std::size_t i = 0; i < built.var_tq.size(); ++i) {
+    out.x_tq[i] = std::max(
+        0.0, solution.values[static_cast<std::size_t>(built.var_tq[i])]);
   }
   QP_INVARIANT(check::validate_lp_solution(instance, out).ok(),
                "LP (9)-(14) optimum must be primal-feasible");
   return out;
+}
+
+double ssqpp_dual_bound(const SsqppLp& lp, const std::vector<double>& duals) {
+  // (10) and (11) are equalities with unit coefficients and rhs 1 over
+  // non-negative variables, so every x_tu and x_tQ is at most 1.
+  const std::vector<double> upper(
+      static_cast<std::size_t>(lp.model.num_variables()), 1.0);
+  return lp::dual_bound(lp.model, duals, upper);
 }
 
 namespace {
@@ -193,6 +215,7 @@ FractionalSsqpp filter_fractional(const FractionalSsqpp& fractional,
     throw std::invalid_argument("filter_fractional: needs an optimal solution");
   }
   FractionalSsqpp out = fractional;
+  out.duals.clear();
   const auto num_elements = static_cast<std::size_t>(fractional.universe_size);
   const auto num_quorums = static_cast<std::size_t>(fractional.num_quorums);
   for (std::size_t u = 0; u < num_elements; ++u) {

@@ -28,6 +28,10 @@ struct FractionalSsqpp {
   std::vector<double> quorum_probability;  ///< p0(Q), copied from the strategy
   std::vector<double> x_tu;          ///< t-major: x_tu[t * |U| + u]
   std::vector<double> x_tq;          ///< t-major: x_tq[t * |Q| + q]
+  /// Duals of LP (9)-(14), one per row of build_ssqpp_lp(instance).model:
+  /// a witness that ssqpp_dual_bound() checks without re-solving. Empty
+  /// unless optimal, and after filtering (no longer an LP optimum).
+  std::vector<double> duals;
 
   double xu(int t, int u) const {
     return x_tu[static_cast<std::size_t>(t) *
@@ -45,10 +49,33 @@ struct FractionalSsqpp {
   double quorum_distance(int q) const;
 };
 
-/// Builds and solves LP (9)-(14) for the instance. Constraint (13) is
-/// enforced by omitting variables x_{tu} with load(u) > cap(v_t).
+/// LP (9)-(14) for one instance as an lp::Model, with the maps from
+/// sorted-node coordinates to its variables. Constraint (13) is enforced by
+/// omitting variables x_{tu} with load(u) > cap(v_t).
+struct SsqppLp {
+  /// False when some element fits on no node, so (10) cannot hold; the
+  /// model is then left incomplete and must not be solved.
+  bool feasible = true;
+  lp::Model model;
+  std::vector<int> node_order;          ///< as in FractionalSsqpp
+  std::vector<double> sorted_distance;  ///< as in FractionalSsqpp
+  std::vector<int> var_tu;  ///< t-major variable ids; -1 = omitted by (13)
+  std::vector<int> var_tq;  ///< t-major variable ids
+};
+
+/// Builds LP (9)-(14) without solving it. Deterministic: the same instance
+/// always gives the same rows in the same order.
+SsqppLp build_ssqpp_lp(const SsqppInstance& instance);
+
+/// Builds and solves LP (9)-(14) for the instance.
 FractionalSsqpp solve_ssqpp_lp(const SsqppInstance& instance,
                                const lp::SimplexOptions& options = {});
+
+/// Certified lower bound on Z* from a dual witness: lp::dual_bound with
+/// upper bound 1 on every variable, which (10)/(11) and x >= 0 imply. Sound
+/// for any witness; -infinity when it is malformed (wrong length,
+/// non-finite).
+double ssqpp_dual_bound(const SsqppLp& lp, const std::vector<double>& duals);
 
 /// The alpha-filtering of Sec 3.3.1: x~ is the largest solution with
 /// x~_{tu} <= alpha * x_{tu} and cumulative mass <= 1, taken in increasing t

@@ -9,6 +9,7 @@
 ///   load_f(v)   <= (alpha + 1) * cap(v).
 
 #include <optional>
+#include <vector>
 
 #include "core/instance.hpp"
 #include "core/ssqpp_lp.hpp"
@@ -21,6 +22,9 @@ struct SsqppResult {
   double delay = 0.0;            ///< achieved Delta_f(v0)
   double delay_bound = 0.0;      ///< (alpha/(alpha-1)) * Z*
   double load_violation = 0.0;   ///< max_v load_f(v)/cap(v); bound: alpha + 1
+  /// Duals of LP (9)-(14) (FractionalSsqpp::duals): the witness the Thm 3.7
+  /// certificate verifies instead of re-solving the LP.
+  std::vector<double> lp_duals;
 };
 
 /// Runs the Thm 3.7 pipeline. Returns std::nullopt when the LP itself is

@@ -6,6 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -13,12 +18,14 @@
 #include "check/certificate.hpp"
 #include "check/contracts.hpp"
 #include "check/validate.hpp"
+#include "core/exact.hpp"
 #include "core/majority_layout.hpp"
 #include "core/qpp_solver.hpp"
 #include "core/ssqpp_lp.hpp"
 #include "core/ssqpp_solver.hpp"
 #include "core/total_delay.hpp"
 #include "graph/generators.hpp"
+#include "obs/obs.hpp"
 #include "quorum/constructions.hpp"
 
 namespace qp::check {
@@ -285,6 +292,231 @@ TEST(Certificate, MajorityLayoutMatchesEq19) {
   tampered.formula_delay += 0.25;
   EXPECT_FALSE(check_certificate(instance, tampered, 3).ok());
 }
+
+// ------------------------------------------------- dual-verified bounds
+
+/// A connected random instance where every node admits LP (9)-(14): each
+/// grid(3) element (load 1/3) fits on every node and the capacity is ample.
+core::QppInstance random_grid3_instance(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  return make_qpp(graph::erdos_renyi(8, 0.5, rng, 1.0, 4.0), quorum::grid(3),
+                  1.0);
+}
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+std::uint64_t lp_solves() {
+  return obs::Registry::instance().counter("lp.solves").value();
+}
+
+bool has_failed_row(const Certificate& cert, const std::string& name) {
+  return std::any_of(cert.checks.begin(), cert.checks.end(),
+                     [&](const BoundCheck& c) {
+                       return c.name == name && !c.holds;
+                     });
+}
+
+TEST(CertificateDualBound, VerifiedBoundMatchesZStarAtEveryNode) {
+  const core::QppInstance instance = random_grid3_instance(11);
+  for (int v0 = 0; v0 < instance.num_nodes(); ++v0) {
+    const core::SsqppInstance view = core::single_source_view(instance, v0);
+    const core::FractionalSsqpp lp = core::solve_ssqpp_lp(view);
+    ASSERT_EQ(lp.status, lp::SolveStatus::kOptimal);
+    const core::SsqppLp built = core::build_ssqpp_lp(view);
+    ASSERT_EQ(lp.duals.size(),
+              static_cast<std::size_t>(built.model.num_constraints()));
+    // b.y alone, then the verified bound: both sit on Z* within 1e-9.
+    double by = 0.0;
+    for (std::size_t i = 0; i < lp.duals.size(); ++i) {
+      by += built.model.constraints()[i].rhs * lp.duals[i];
+    }
+    EXPECT_NEAR(by, lp.objective, 1e-9 * lp.objective) << "v0 = " << v0;
+    const double bound = core::ssqpp_dual_bound(built, lp.duals);
+    EXPECT_NEAR(bound, lp.objective, 1e-9 * lp.objective) << "v0 = " << v0;
+    EXPECT_LE(bound, lp.objective) << "v0 = " << v0;
+  }
+}
+
+TEST(CertificateDualBound, RelaySweepWitnessIsTheFreshSolvesDuals) {
+  const core::QppInstance instance = random_grid3_instance(12);
+  const auto result = core::solve_qpp(instance);
+  ASSERT_TRUE(result.has_value());
+  ASSERT_EQ(result->relay_duals.size(),
+            static_cast<std::size_t>(instance.num_nodes()));
+  for (int v0 = 0; v0 < instance.num_nodes(); ++v0) {
+    const core::FractionalSsqpp fresh =
+        core::solve_ssqpp_lp(core::single_source_view(instance, v0));
+    EXPECT_FALSE(fresh.duals.empty());
+    EXPECT_TRUE(bitwise_equal(
+        result->relay_duals[static_cast<std::size_t>(v0)], fresh.duals))
+        << "v0 = " << v0;
+  }
+}
+
+TEST(CertificateDualBound, TamperedWitnessesNeverExceedZStar) {
+  const core::QppInstance instance = random_grid3_instance(13);
+  const core::SsqppInstance view = core::single_source_view(instance, 2);
+  const core::FractionalSsqpp lp = core::solve_ssqpp_lp(view);
+  ASSERT_EQ(lp.status, lp::SolveStatus::kOptimal);
+  const core::SsqppLp built = core::build_ssqpp_lp(view);
+  // Z* is at most the objective of the feasible primal the solver returned.
+  const double z_star = lp.objective * (1.0 + 1e-12);
+
+  std::vector<double> scaled = lp.duals;
+  for (double& y : scaled) y *= 2.0;
+  std::vector<double> flipped = lp.duals;
+  for (double& y : flipped) y = -y;
+  std::vector<double> with_nan = lp.duals;
+  with_nan[with_nan.size() / 2] = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> too_short = lp.duals;
+  too_short.pop_back();
+
+  EXPECT_LE(core::ssqpp_dual_bound(built, scaled), z_star);
+  EXPECT_LE(core::ssqpp_dual_bound(built, flipped), z_star);
+  const double minus_infinity = -std::numeric_limits<double>::infinity();
+  EXPECT_EQ(core::ssqpp_dual_bound(built, with_nan), minus_infinity);
+  EXPECT_EQ(core::ssqpp_dual_bound(built, too_short), minus_infinity);
+  EXPECT_EQ(core::ssqpp_dual_bound(built, {}), minus_infinity);
+
+  // Random perturbations of the optimal duals: weak duality holds for all.
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> noise(-0.5, 0.5);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<double> y = lp.duals;
+    for (double& entry : y) entry += noise(rng);
+    EXPECT_LE(core::ssqpp_dual_bound(built, y), z_star) << "trial " << trial;
+  }
+}
+
+TEST(CertificateDualBound, TamperedQppWitnessFailsNamedRowsAndNeverRaisesL) {
+  const core::QppInstance instance = random_grid3_instance(14);
+  const auto result = core::solve_qpp(instance);
+  ASSERT_TRUE(result.has_value());
+  const Certificate honest = check_certificate(instance, *result);
+  ASSERT_TRUE(honest.ok()) << honest.to_string();
+
+  const auto tamper = [&](auto&& edit) {
+    core::QppResult tampered = *result;
+    for (std::vector<double>& y : tampered.relay_duals) edit(y);
+    return check_certificate(instance, tampered);
+  };
+  const Certificate scaled = tamper([](std::vector<double>& y) {
+    for (double& entry : y) entry *= 2.0;
+  });
+  const Certificate flipped = tamper([](std::vector<double>& y) {
+    for (double& entry : y) entry = -entry;
+  });
+  for (const Certificate* cert : {&scaled, &flipped}) {
+    EXPECT_LE(cert->opt_lower_bound, honest.opt_lower_bound * (1.0 + 1e-12))
+        << cert->to_string();
+  }
+
+  const Certificate with_nan = tamper([](std::vector<double>& y) {
+    y[0] = std::numeric_limits<double>::quiet_NaN();
+  });
+  EXPECT_FALSE(with_nan.ok());
+  EXPECT_TRUE(has_failed_row(with_nan, "lp/re-derivable"))
+      << with_nan.to_string();
+  EXPECT_EQ(with_nan.opt_lower_bound, 0.0);
+
+  // Malformed at one node other than the chosen relay: L is underivable.
+  core::QppResult one_short = *result;
+  const int other = result->chosen_source == 0 ? 1 : 0;
+  one_short.relay_duals[static_cast<std::size_t>(other)].pop_back();
+  const Certificate short_cert = check_certificate(instance, one_short);
+  EXPECT_FALSE(short_cert.ok());
+  EXPECT_TRUE(has_failed_row(short_cert, "lp/dual-verified"))
+      << short_cert.to_string();
+  EXPECT_EQ(short_cert.opt_lower_bound, 0.0);
+
+  core::QppResult wrong_count = *result;
+  wrong_count.relay_duals.pop_back();
+  const Certificate shape = check_certificate(instance, wrong_count);
+  EXPECT_FALSE(shape.ok());
+  EXPECT_TRUE(has_failed_row(shape, "lp/witness-shape")) << shape.to_string();
+
+  const core::SsqppInstance view = core::single_source_view(instance, 3);
+  core::SsqppResult single = *core::solve_ssqpp(view, 2.0);
+  ASSERT_TRUE(check_certificate(view, single).ok());
+  single.lp_duals.back() = std::numeric_limits<double>::infinity();
+  const Certificate single_cert = check_certificate(view, single);
+  EXPECT_FALSE(single_cert.ok());
+  EXPECT_TRUE(has_failed_row(single_cert, "lp/re-derivable"))
+      << single_cert.to_string();
+}
+
+TEST(CertificateDualBound, SolvesOnlyWhereTheResultHasNoWitness) {
+  const core::QppInstance instance = random_grid3_instance(15);
+  const auto result = core::solve_qpp(instance);
+  ASSERT_TRUE(result.has_value());
+
+  std::uint64_t before = lp_solves();
+  const Certificate with_witness = check_certificate(instance, *result);
+  const std::uint64_t solved_with_witness = lp_solves() - before;
+
+  core::QppResult by_hand = *result;
+  by_hand.relay_duals.clear();
+  before = lp_solves();
+  const Certificate without = check_certificate(instance, by_hand);
+  const std::uint64_t solved_without = lp_solves() - before;
+  if (obs::compiled_in()) {
+    EXPECT_EQ(solved_with_witness, 0u);
+    EXPECT_EQ(solved_without, static_cast<std::uint64_t>(instance.num_nodes()));
+  }
+
+  // The same verdict and the same L either way: the witness is the duals a
+  // fresh solve returns.
+  EXPECT_TRUE(with_witness.ok()) << with_witness.to_string();
+  EXPECT_TRUE(without.ok()) << without.to_string();
+  EXPECT_EQ(with_witness.opt_lower_bound, without.opt_lower_bound);
+  EXPECT_EQ(with_witness.certified_ratio, without.certified_ratio);
+}
+
+/// Exact cross-check on small random instances: every verified Z*(v0)
+/// bound is at most exact_ssqpp's optimum at v0, and L / 5 is at most
+/// exact_qpp_max_delay's optimum.
+class DualBoundVsExact : public ::testing::TestWithParam<int> {};
+
+TEST_P(DualBoundVsExact, VerifiedBoundsNeverExceedExactOptima) {
+  std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 1);
+  const int n = 5 + GetParam() % 3;  // 5, 6, 7 nodes
+  const quorum::QuorumSystem system =
+      GetParam() % 2 == 0 ? quorum::majority(4) : quorum::grid(2);
+  // Every element (load 3/4) fits on every node, so each node's LP and the
+  // exact problems are feasible.
+  std::uniform_real_distribution<double> cap(0.8, 2.0);
+  std::vector<double> capacities(static_cast<std::size_t>(n));
+  for (double& c : capacities) c = cap(rng);
+  const core::QppInstance instance(
+      graph::Metric::from_graph(graph::erdos_renyi(n, 0.5, rng, 1.0, 5.0)),
+      std::move(capacities), system, quorum::AccessStrategy::uniform(system));
+
+  const auto result = core::solve_qpp(instance);
+  const auto exact = core::exact_qpp_max_delay(instance);
+  ASSERT_TRUE(result.has_value());
+  ASSERT_TRUE(exact.has_value());
+  for (int v0 = 0; v0 < n; ++v0) {
+    const std::vector<double>& witness =
+        result->relay_duals[static_cast<std::size_t>(v0)];
+    ASSERT_FALSE(witness.empty()) << "v0 = " << v0;
+    const core::SsqppInstance view = core::single_source_view(instance, v0);
+    const auto exact_single = core::exact_ssqpp(view);
+    ASSERT_TRUE(exact_single.has_value()) << "v0 = " << v0;
+    EXPECT_LE(core::ssqpp_dual_bound(core::build_ssqpp_lp(view), witness),
+              exact_single->delay)
+        << "v0 = " << v0;
+  }
+  const Certificate cert = check_certificate(instance, *result);
+  EXPECT_TRUE(cert.ok()) << cert.to_string();
+  EXPECT_GT(cert.opt_lower_bound, 0.0);
+  EXPECT_LE(cert.opt_lower_bound, exact->delay);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DualBoundVsExact, ::testing::Range(0, 12));
 
 // --------------------------------------------------------------- macros
 

@@ -129,11 +129,11 @@ TEST(ParallelDeterminism, QppModeBitIdentical) {
     EXPECT_EQ(at_one->best_lp_bound, at_eight->best_lp_bound) << named.name;
     EXPECT_EQ(at_one->load_violation, at_eight->load_violation) << named.name;
 
-    // Certificate verdicts (and every printed bound) must agree too.
+    // Certificate verdicts and every printed bound, the Thm 1.2 L / 5 and
+    // certified ratio included, must agree too.
     const auto certify = [&](const core::QppResult& result) {
       check::CertificateOptions options;
       options.alpha = 2.0;
-      options.derive_opt_lower_bound = false;  // keep the suite fast
       return check::check_certificate(named.instance, result, options);
     };
     const check::Certificate cert_one =
@@ -142,6 +142,11 @@ TEST(ParallelDeterminism, QppModeBitIdentical) {
         with_threads(8, [&] { return certify(*at_eight); });
     EXPECT_EQ(cert_one.ok(), cert_eight.ok()) << named.name;
     EXPECT_EQ(cert_one.to_string(), cert_eight.to_string()) << named.name;
+    EXPECT_EQ(cert_one.opt_lower_bound, cert_eight.opt_lower_bound)
+        << named.name;
+    EXPECT_EQ(cert_one.certified_ratio, cert_eight.certified_ratio)
+        << named.name;
+    EXPECT_GT(cert_one.opt_lower_bound, 0.0) << named.name;
     EXPECT_TRUE(cert_one.ok()) << named.name << "\n" << cert_one.to_string();
   }
 }

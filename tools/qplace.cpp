@@ -124,9 +124,9 @@ int usage() {
       "                    (phase timers, solver counters, histograms)\n"
       "  --trace-out FILE  record phase spans and write Chrome trace_event\n"
       "                    JSON loadable in chrome://tracing or Perfetto\n"
-      "  --profile-out FILE (solve|simulate) fold spans + counter deltas\n"
-      "                    into a qplace.profile.v1 call-tree profile; the\n"
-      "                    per-node counter attribution is deterministic\n"
+      "  --profile-out FILE (solve|check|simulate) fold spans + counter\n"
+      "                    deltas into a qplace.profile.v1 call-tree profile;\n"
+      "                    the per-node counter attribution is deterministic\n"
       "                    (byte-identical for any --threads)\n"
       "  --profile-folded FILE  folded-stack sidecar for flamegraph\n"
       "                    renderers (default: <profile-out>.folded)\n"
